@@ -37,8 +37,11 @@ func configs(b *sampler.Batch) nn.ConfigBatch {
 }
 
 // BatchedEval bundles a model's nn.BatchEvaluator with the reusable flip
-// and base log-psi buffers the energy phase needs, so the steady-state
-// training loop allocates nothing. Values produced through it are bitwise
+// and base log-psi buffers the energy phase needs, so the steady state
+// allocates no per-sample buffers: what remains is each parallel section's
+// bookkeeping. For MADE, nn's TestMADEBatchAllocsBounded pins that at no
+// more than 16 allocations per FlipLogPsiBatch or batched ancestral Sample
+// call, whatever the batch size. Values produced through it are bitwise
 // identical to the scalar LocalEnergies/FillOws paths (see the
 // nn.BatchEvaluator contract); it is a pure throughput knob.
 type BatchedEval struct {

@@ -36,12 +36,13 @@ func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites]
 //
 // Tail-only invariant (MADE): the flip super-batch is evaluated under the
 // mask-aware tail-only convention of MADE.NewFlipCache — for a flip of bit
-// b only output sites j >= b are re-evaluated (column-range GEMMs over the
-// tail), with the head of the log-probability fold resumed from the base
-// row's prefix sums — and the resulting flipped log-psi values are bitwise
-// identical to a fresh LogPsi of each flipped configuration. Halving
-// layer-2 work and the log-sigmoid tail is therefore invisible in the
-// values: scalar FlipCache.Delta and the batched delta agree with exact ==.
+// b only output sites j >= b are re-evaluated (per row, resuming from the
+// base row's partial-sum snapshots), with the head of the log-probability
+// fold resumed from the base row's prefix sums — and the resulting flipped
+// log-psi values are bitwise identical to a fresh LogPsi of each flipped
+// configuration. Halving layer-2 work and the log-sigmoid tail is
+// therefore invisible in the values: scalar FlipCache.Delta and the batched
+// delta agree with exact ==.
 //
 // Implementations own growable scratch and are NOT safe for concurrent
 // use; they parallelize internally across the workers they were built with.
@@ -90,10 +91,10 @@ type FullFlipBatchEvaluatorBuilder interface {
 	NewFullFlipBatchEvaluator(workers int) BatchEvaluator
 }
 
-// BatchAncestralSampler advances a whole batch of ancestral samples
-// site-major: one fused pass over the B x h hidden state per site instead
-// of B independent site loops, so the per-site weight column stays hot in
-// cache across the entire batch.
+// BatchAncestralSampler draws a whole batch of ancestral samples in one
+// call, in the loop order that suits the model: MADE walks each worker's
+// rows one at a time in a private hidden-state vector; NADE and the RNN go
+// site-major, one fused pass over the B x h state per site.
 //
 // Sample fills b's bits from pre-drawn uniforms u (row-major, u[k*Sites+i]
 // drives bit i of sample k): bit = 1 iff u < P(x_i = 1 | x_<i). Because the

@@ -15,6 +15,23 @@ var (
 	siteCounts   = []int{1, 2, 7, 19}
 )
 
+// The MADE flip kernel and sampler run over a wider grid: an odd worker
+// count, and the narrow width h=3 < n-1 next to each test's own width, under
+// which every bit >= 3 has an empty flipRuns (no hidden unit sees it).
+var madeWorkerCounts = []int{1, 2, 3, 5}
+
+func madeWidths(h int) []int { return []int{h, 3} }
+
+// flipLists returns the flip-site lists the flip kernels run: every single
+// bit (the TIM pattern), a list with repeated sites, and no flips at all.
+func flipLists(n int) [][]int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return [][]int{all, {n - 1, 0, n - 1, n / 2, 0}, {}}
+}
+
 func randomConfigs(bs, n int, r *rng.Rand) ConfigBatch {
 	b := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
 	r.FillBits(b.Bits)
@@ -80,37 +97,37 @@ func TestGradLogPsiBatchBitIdentical(t *testing.T) {
 // core.LocalEnergies' batched dispatch relies on.
 func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
-		m := NewMADE(n, 4+n, rng.New(uint64(300+n)))
-		// All single-bit flips, the TIM local-energy pattern.
-		flips := make([]int, n)
-		for i := range flips {
-			flips[i] = i
-		}
-		for _, workers := range workerCounts {
-			e := m.NewBatchEvaluator(workers)
-			for _, bs := range batchSizes {
-				b := randomConfigs(bs, n, rng.New(uint64(17*bs+n)))
-				base := make([]float64, bs)
-				delta := make([]float64, bs*n)
-				e.FlipLogPsiBatch(b, flips, base, delta)
-				cache := m.NewFlipCache(b.Row(0))
-				s := m.NewScratch()
-				for k := 0; k < bs; k++ {
-					if k > 0 {
-						cache.Reset(b.Row(k))
-					}
-					if base[k] != cache.LogPsi() {
-						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != cache %v",
-							n, workers, bs, k, base[k], cache.LogPsi())
-					}
-					if want := m.LogPsiScratch(b.Row(k), s); base[k] != want {
-						t.Fatalf("n=%d w=%d B=%d row %d: batched base %v != fresh LogPsi %v",
-							n, workers, bs, k, base[k], want)
-					}
-					for f, bit := range flips {
-						if want := cache.Delta(bit); delta[k*n+f] != want {
-							t.Fatalf("n=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
-								n, workers, bs, k, bit, delta[k*n+f], want)
+		for _, h := range madeWidths(4 + n) {
+			m := NewMADE(n, h, rng.New(uint64(300+n)))
+			for _, flips := range flipLists(n) {
+				nf := len(flips)
+				for _, workers := range madeWorkerCounts {
+					e := m.NewBatchEvaluator(workers)
+					for _, bs := range batchSizes {
+						b := randomConfigs(bs, n, rng.New(uint64(17*bs+n)))
+						base := make([]float64, bs)
+						delta := make([]float64, bs*nf)
+						e.FlipLogPsiBatch(b, flips, base, delta)
+						cache := m.NewFlipCache(b.Row(0))
+						s := m.NewScratch()
+						for k := 0; k < bs; k++ {
+							if k > 0 {
+								cache.Reset(b.Row(k))
+							}
+							if base[k] != cache.LogPsi() {
+								t.Fatalf("n=%d h=%d nf=%d w=%d B=%d row %d: batched base %v != cache %v",
+									n, h, nf, workers, bs, k, base[k], cache.LogPsi())
+							}
+							if want := m.LogPsiScratch(b.Row(k), s); base[k] != want {
+								t.Fatalf("n=%d h=%d nf=%d w=%d B=%d row %d: batched base %v != fresh LogPsi %v",
+									n, h, nf, workers, bs, k, base[k], want)
+							}
+							for f, bit := range flips {
+								if want := cache.Delta(bit); delta[k*nf+f] != want {
+									t.Fatalf("n=%d h=%d nf=%d w=%d B=%d row %d flip %d: batched delta %v != cache %v",
+										n, h, nf, workers, bs, k, bit, delta[k*nf+f], want)
+								}
+							}
 						}
 					}
 				}
@@ -125,29 +142,34 @@ func TestFlipLogPsiBatchBitIdentical(t *testing.T) {
 // is invisible in the values.
 func TestFlipLogPsiBatchMatchesFullRecompute(t *testing.T) {
 	for _, n := range siteCounts {
-		m := NewMADE(n, 4+n, rng.New(uint64(350+n)))
-		flips := make([]int, n)
-		for i := range flips {
-			flips[i] = i
-		}
-		tail := m.NewBatchEvaluator(2)
-		full := m.NewFullFlipBatchEvaluator(3)
-		for _, bs := range batchSizes {
-			b := randomConfigs(bs, n, rng.New(uint64(23*bs+n)))
-			baseT := make([]float64, bs)
-			baseF := make([]float64, bs)
-			deltaT := make([]float64, bs*n)
-			deltaF := make([]float64, bs*n)
-			tail.FlipLogPsiBatch(b, flips, baseT, deltaT)
-			full.FlipLogPsiBatch(b, flips, baseF, deltaF)
-			for k := range baseT {
-				if baseT[k] != baseF[k] {
-					t.Fatalf("n=%d B=%d row %d: tail base %v != full base %v", n, bs, k, baseT[k], baseF[k])
-				}
-			}
-			for i := range deltaT {
-				if deltaT[i] != deltaF[i] {
-					t.Fatalf("n=%d B=%d delta %d: tail %v != full %v", n, bs, i, deltaT[i], deltaF[i])
+		for _, h := range madeWidths(4 + n) {
+			m := NewMADE(n, h, rng.New(uint64(350+n)))
+			full := m.NewFullFlipBatchEvaluator(3)
+			for _, flips := range flipLists(n) {
+				nf := len(flips)
+				for _, workers := range madeWorkerCounts {
+					tail := m.NewBatchEvaluator(workers)
+					for _, bs := range batchSizes {
+						b := randomConfigs(bs, n, rng.New(uint64(23*bs+n)))
+						baseT := make([]float64, bs)
+						baseF := make([]float64, bs)
+						deltaT := make([]float64, bs*nf)
+						deltaF := make([]float64, bs*nf)
+						tail.FlipLogPsiBatch(b, flips, baseT, deltaT)
+						full.FlipLogPsiBatch(b, flips, baseF, deltaF)
+						for k := range baseT {
+							if baseT[k] != baseF[k] {
+								t.Fatalf("n=%d h=%d nf=%d w=%d B=%d row %d: tail base %v != full base %v",
+									n, h, nf, workers, bs, k, baseT[k], baseF[k])
+							}
+						}
+						for i := range deltaT {
+							if deltaT[i] != deltaF[i] {
+								t.Fatalf("n=%d h=%d nf=%d w=%d B=%d delta %d: tail %v != full %v",
+									n, h, nf, workers, bs, i, deltaT[i], deltaF[i])
+							}
+						}
+					}
 				}
 			}
 		}
@@ -162,32 +184,37 @@ func TestFlipLogPsiBatchMatchesFullRecompute(t *testing.T) {
 func TestFlipLogPsiBatchRandomSites(t *testing.T) {
 	r := rng.New(41)
 	for _, n := range siteCounts {
-		m := NewMADE(n, 6+n, r.Split())
-		e := m.NewBatchEvaluator(3)
-		s := m.NewScratch()
-		y := make([]int, n)
-		for _, bs := range batchSizes {
-			nf := 1 + r.Intn(n)
-			flips := make([]int, nf)
-			for f := range flips {
-				flips[f] = r.Intn(n)
-			}
-			b := randomConfigs(bs, n, r.Split())
-			base := make([]float64, bs)
-			delta := make([]float64, bs*nf)
-			e.FlipLogPsiBatch(b, flips, base, delta)
-			for k := 0; k < bs; k++ {
-				baseWant := m.LogPsiScratch(b.Row(k), s)
-				if base[k] != baseWant {
-					t.Fatalf("n=%d B=%d row %d: base %v != fresh %v", n, bs, k, base[k], baseWant)
-				}
-				for f, bit := range flips {
-					copy(y, b.Row(k))
-					y[bit] = 1 - y[bit]
-					want := m.LogPsiScratch(y, s) - baseWant
-					if delta[k*nf+f] != want {
-						t.Fatalf("n=%d B=%d row %d flip site %d: delta %v != fresh %v",
-							n, bs, k, bit, delta[k*nf+f], want)
+		for _, h := range madeWidths(6 + n) {
+			m := NewMADE(n, h, r.Split())
+			s := m.NewScratch()
+			y := make([]int, n)
+			for _, workers := range madeWorkerCounts {
+				e := m.NewBatchEvaluator(workers)
+				for _, bs := range batchSizes {
+					nf := 1 + r.Intn(n)
+					flips := make([]int, nf)
+					for f := range flips {
+						flips[f] = r.Intn(n)
+					}
+					b := randomConfigs(bs, n, r.Split())
+					base := make([]float64, bs)
+					delta := make([]float64, bs*nf)
+					e.FlipLogPsiBatch(b, flips, base, delta)
+					for k := 0; k < bs; k++ {
+						baseWant := m.LogPsiScratch(b.Row(k), s)
+						if base[k] != baseWant {
+							t.Fatalf("n=%d h=%d w=%d B=%d row %d: base %v != fresh %v",
+								n, h, workers, bs, k, base[k], baseWant)
+						}
+						for f, bit := range flips {
+							copy(y, b.Row(k))
+							y[bit] = 1 - y[bit]
+							want := m.LogPsiScratch(y, s) - baseWant
+							if delta[k*nf+f] != want {
+								t.Fatalf("n=%d h=%d w=%d B=%d row %d flip site %d: delta %v != fresh %v",
+									n, h, workers, bs, k, bit, delta[k*nf+f], want)
+							}
+						}
 					}
 				}
 			}
@@ -196,36 +223,38 @@ func TestFlipLogPsiBatchRandomSites(t *testing.T) {
 }
 
 // TestBatchAncestralBitIdentical: fed the same uniforms, the batched
-// site-major sampler must produce exactly the bits of the scalar
+// sampler must produce exactly the bits of the scalar
 // incremental evaluator walked sample-major.
 func TestBatchAncestralBitIdentical(t *testing.T) {
 	for _, n := range siteCounts {
-		m := NewMADE(n, 6+n, rng.New(uint64(400+n)))
-		bsmp := m.NewBatchAncestralSampler()
-		for _, bs := range batchSizes {
-			u := make([]float64, bs*n)
-			rng.New(uint64(19*bs+n)).FillUniform(u, 0, 1)
-			// Scalar reference: incremental evaluator, one sample at a time.
-			want := make([]int, bs*n)
-			ev := m.NewIncrementalEvaluator()
-			for k := 0; k < bs; k++ {
-				ev.Reset()
-				for i := 0; i < n; i++ {
-					bit := 0
-					if u[k*n+i] < ev.Prob(i) {
-						bit = 1
+		for _, h := range madeWidths(6 + n) {
+			m := NewMADE(n, h, rng.New(uint64(400+n)))
+			bsmp := m.NewBatchAncestralSampler()
+			for _, bs := range batchSizes {
+				u := make([]float64, bs*n)
+				rng.New(uint64(19*bs+n)).FillUniform(u, 0, 1)
+				// Scalar reference: incremental evaluator, one sample at a time.
+				want := make([]int, bs*n)
+				ev := m.NewIncrementalEvaluator()
+				for k := 0; k < bs; k++ {
+					ev.Reset()
+					for i := 0; i < n; i++ {
+						bit := 0
+						if u[k*n+i] < ev.Prob(i) {
+							bit = 1
+						}
+						want[k*n+i] = bit
+						ev.Fix(i, bit)
 					}
-					want[k*n+i] = bit
-					ev.Fix(i, bit)
 				}
-			}
-			for _, workers := range workerCounts {
-				b := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
-				bsmp.Sample(b, u, workers)
-				for i := range want {
-					if b.Bits[i] != want[i] {
-						t.Fatalf("n=%d B=%d w=%d: bit %d = %d, scalar %d",
-							n, bs, workers, i, b.Bits[i], want[i])
+				for _, workers := range madeWorkerCounts {
+					b := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
+					bsmp.Sample(b, u, workers)
+					for i := range want {
+						if b.Bits[i] != want[i] {
+							t.Fatalf("n=%d h=%d B=%d w=%d: bit %d = %d, scalar %d",
+								n, h, bs, workers, i, b.Bits[i], want[i])
+						}
 					}
 				}
 			}
@@ -309,4 +338,83 @@ func TestTailFlipCacheExactRegression(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMADEBatchAllocsBounded pins the sample-major kernels' allocation
+// profile: at steady state one FlipLogPsiBatch or batched ancestral Sample
+// call allocates only its parallel section's bookkeeping, a small constant
+// independent of the batch size, the site count and the flip count.
+func TestMADEBatchAllocsBounded(t *testing.T) {
+	const maxAllocs = 16
+	for _, n := range []int{16, 32} {
+		m := NewMADE(n, 2*n+6, rng.New(uint64(n)))
+		flips := flipLists(n)[0]
+		for _, bs := range []int{64, 1024} {
+			b := randomConfigs(bs, n, rng.New(uint64(bs+n)))
+			delta := make([]float64, bs*n)
+			u := make([]float64, bs*n)
+			rng.New(uint64(bs)).FillUniform(u, 0, 1)
+			for _, workers := range []int{1, 2} {
+				e := m.NewBatchEvaluator(workers)
+				if a := testing.AllocsPerRun(3, func() { e.FlipLogPsiBatch(b, flips, nil, delta) }); a > maxAllocs {
+					t.Errorf("n=%d B=%d w=%d: FlipLogPsiBatch allocates %v per call, want <= %d", n, bs, workers, a, maxAllocs)
+				}
+				smp := m.NewBatchAncestralSampler()
+				if a := testing.AllocsPerRun(3, func() { smp.Sample(b, u, workers) }); a > maxAllocs {
+					t.Errorf("n=%d B=%d w=%d: batched Sample allocates %v per call, want <= %d", n, bs, workers, a, maxAllocs)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMADEFlipBatch fuzzes MADE's sample-major flip kernel over the shape,
+// batch size, worker count, flip list and configuration bits: every base
+// and delta must equal both the full-flip oracle's and a fresh LogPsi's with
+// exact ==.
+func FuzzMADEFlipBatch(f *testing.F) {
+	f.Add(uint64(1), uint8(15), uint8(37), uint8(3), uint8(1), []byte{0, 1, 2, 15}, []byte{0xa5, 0x3c, 0xff, 0x01})
+	f.Add(uint64(7), uint8(18), uint8(2), uint8(0), uint8(2), []byte{18, 18, 0, 5}, []byte{0x0f, 0xf0, 0x55})
+	f.Add(uint64(3), uint8(0), uint8(0), uint8(1), uint8(0), []byte{}, []byte{1})
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, hRaw, bRaw, wRaw uint8, flipRaw, bitRaw []byte) {
+		n := 1 + int(nRaw)%24
+		h := 1 + int(hRaw)%48
+		bs := 1 + int(bRaw)%8
+		workers := 1 + int(wRaw)%4
+		if len(flipRaw) > 2*n {
+			flipRaw = flipRaw[:2*n]
+		}
+		flips := make([]int, len(flipRaw))
+		for i, v := range flipRaw {
+			flips[i] = int(v) % n
+		}
+		b := ConfigBatch{N: bs, Sites: n, Bits: make([]int, bs*n)}
+		for i := range b.Bits {
+			if i/8 < len(bitRaw) {
+				b.Bits[i] = int(bitRaw[i/8]>>(i%8)) & 1
+			}
+		}
+		m := NewMADE(n, h, rng.New(seed))
+		nf := len(flips)
+		base, delta := make([]float64, bs), make([]float64, bs*nf)
+		m.NewBatchEvaluator(workers).FlipLogPsiBatch(b, flips, base, delta)
+		baseF, deltaF := make([]float64, bs), make([]float64, bs*nf)
+		m.NewFullFlipBatchEvaluator(workers).FlipLogPsiBatch(b, flips, baseF, deltaF)
+		y := make([]int, n)
+		for k := 0; k < bs; k++ {
+			want := m.LogPsi(b.Row(k))
+			if base[k] != want || baseF[k] != want {
+				t.Fatalf("n=%d h=%d w=%d row %d: base %v, oracle %v, fresh %v", n, h, workers, k, base[k], baseF[k], want)
+			}
+			for f, bit := range flips {
+				copy(y, b.Row(k))
+				y[bit] ^= 1
+				d := m.LogPsi(y) - want
+				if got := delta[k*nf+f]; got != d || deltaF[k*nf+f] != d {
+					t.Fatalf("n=%d h=%d w=%d row %d flip site %d: delta %v, oracle %v, fresh %v",
+						n, h, workers, k, bit, got, deltaF[k*nf+f], d)
+				}
+			}
+		}
+	})
 }

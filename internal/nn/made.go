@@ -311,9 +311,10 @@ func (m *MADE) AccumulateInput(z1 tensor.Vector, i, bit int) {
 	if bit == 0 {
 		return
 	}
-	for k := 0; k < m.h; k++ {
-		if m.M1.At(k, i) != 0 {
-			z1[k] += m.W1.At(k, i)
+	// flipRuns[i] is exactly the set of units whose mask row sees input i.
+	for _, run := range m.flipRuns[i] {
+		for k := run[0]; k < run[1]; k++ {
+			z1[k] += m.W1.Data[k*m.n+i]
 		}
 	}
 }

@@ -12,6 +12,10 @@ import (
 // single output bit.
 const batchSlabRows = 4096
 
+// cacheLineFloats is one 64-byte cache line in float64s: the padding that
+// keeps per-worker scratch vectors from sharing a line.
+const cacheLineFloats = 8
+
 // growMat returns a rows x cols matrix view over buf, growing it as needed.
 // Contents are fully overwritten by the kernels, so no zeroing happens.
 func growMat(buf *[]float64, rows, cols int) *tensor.Matrix {
@@ -31,44 +35,38 @@ func reluRows(m *tensor.Matrix, workers int) {
 	})
 }
 
-// logProbFromZ2F is logProbFromZ2 for a float-encoded configuration (the
-// flip super-batch stores inputs as the exact 0.0/1.0 floats the GEMM
-// consumed, so the branch decisions match the int version bit-for-bit).
-func logProbFromZ2F(xf []float64, z2 tensor.Vector) float64 {
-	var lp float64
-	for j, b := range xf {
-		if b == 1 {
-			lp += logSigmoid(z2[j])
-		} else {
-			lp += logSigmoid(-z2[j])
-		}
-	}
-	return lp
-}
-
-// madeBatchEvaluator is MADE's BatchEvaluator: it fuses the per-sample
-// masked matvecs of a whole batch into blocked GEMMs against the cached
-// masked weights (see MADE.maskedWeights), slab by slab. All values are
-// bitwise identical to the scalar paths; see the BatchEvaluator contract.
+// madeBatchEvaluator is MADE's BatchEvaluator. LogPsiBatch and
+// GradLogPsiBatch fuse the per-sample masked matvecs of a whole batch into
+// blocked GEMMs against the cached masked weights (see MADE.maskedWeights),
+// slab by slab; FlipLogPsiBatch runs sample-major, each worker carrying its
+// rows end to end in a private workspace (madeWork). All values are bitwise
+// identical to the scalar paths; see the BatchEvaluator contract.
 type madeBatchEvaluator struct {
 	m       *MADE
 	workers int
-	// fullFlip disables the tail-only flip evaluation and recomputes every
-	// flip row with full GEMMs and a full log-probability fold — the PR 4
-	// reference path. Outputs are bitwise identical to the tail-only path
-	// (the tail-only fold is an exact suffix of the full fold), so it
-	// serves as the differential-test oracle and the A/B perf baseline.
-	fullFlip bool
-	// Slab workspaces, grown on demand and reused across calls: bufXF/Z1/A/
-	// Z2 back the dense forward, bufZB1/ZB2 the flip super-batch layers,
-	// bufP the per-row log-probability prefix sums, bufXB the base float
-	// configurations of a flip slab, and bufPre the per-site layer-1
-	// prefix snapshots the tail-only flip rows resume from.
+	// Dense-forward slab workspaces, grown on demand and reused across
+	// calls: float configurations, layer-1 pre-activations, activations
+	// and layer-2 pre-activations.
 	bufXF, bufZ1, bufA, bufZ2 []float64
-	bufZB1, bufZB2, bufP      []float64
-	bufXB, bufPre, bufPre2    []float64
-	bufBase                   []float64
-	dz2, da                   []tensor.Vector // per-worker backward scratch
+	work                      []madeWork // one per worker
+}
+
+// madeWork is one worker's scratch. dz2/da back GradLogPsiBatch's backward
+// pass; the rest holds the flip kernel's row state and is allocated on the
+// first FlipLogPsiBatch call — n x h + nSnap x n + O(n + h) floats, about
+// 8 KB at TIM n=16, h=38, so a row's working set stays in L1.
+type madeWork struct {
+	dz2, da tensor.Vector
+	// Base row: layer-1 (h) and layer-2 (n) pre-activations after the bias,
+	// and the log-probability fold's prefix sums p[j] over sites < j (n+1).
+	z1, z2, p []float64
+	// pre1 row i holds the layer-1 partial sums over inputs < i on the
+	// units of flipRuns[i] (n x h); pre2 row k the layer-2 partial sums over
+	// units < k, for k < nSnap, one past the last unit a flip's changes can
+	// start at.
+	pre1, pre2 []float64
+	nSnap      int
+	fz1, fz2   []float64 // one flip row's layer-1 (h) and layer-2 (n) state
 }
 
 // NewBatchEvaluator implements BatchEvaluatorBuilder. workers bounds the
@@ -78,26 +76,46 @@ func (m *MADE) NewBatchEvaluator(workers int) BatchEvaluator {
 	if workers <= 0 {
 		workers = parallel.MaxWorkers()
 	}
-	e := &madeBatchEvaluator{m: m, workers: workers,
-		dz2: make([]tensor.Vector, workers), da: make([]tensor.Vector, workers)}
-	for w := 0; w < workers; w++ {
-		e.dz2[w] = tensor.NewVector(m.n)
-		e.da[w] = tensor.NewVector(m.h)
+	e := &madeBatchEvaluator{m: m, workers: workers, work: make([]madeWork, workers)}
+	for w := range e.work {
+		e.work[w].dz2 = tensor.NewVector(m.n)
+		e.work[w].da = tensor.NewVector(m.h)
 	}
 	return e
 }
 
+// madeFullFlip is MADE's full-recompute flip oracle: FlipLogPsiBatch
+// materializes every flipped configuration and runs it through the dense
+// LogPsiBatch forward, with no tail-only resume anywhere.
+type madeFullFlip struct{ *madeBatchEvaluator }
+
 // NewFullFlipBatchEvaluator returns a BatchEvaluator whose FlipLogPsiBatch
-// recomputes every flip row in full (two dense GEMMs over all output sites
-// plus a full log-sigmoid fold) instead of the mask-aware tail. It produces
-// bitwise the same outputs as NewBatchEvaluator — the tail-only path is
-// provably an exact suffix of the full fold — and exists as the
-// differential-testing oracle and the pre-tail-only (PR 4) performance
-// baseline for cmd/vqmcbench.
+// evaluates every flipped configuration with a fresh dense forward and a
+// full log-probability fold. It produces bitwise the same outputs as
+// NewBatchEvaluator — the tail-only kernel resumes exact prefixes of the
+// same accumulation chains — and exists as the differential-testing oracle
+// and the full-recompute perf baseline for cmd/vqmcbench.
 func (m *MADE) NewFullFlipBatchEvaluator(workers int) BatchEvaluator {
-	e := m.NewBatchEvaluator(workers).(*madeBatchEvaluator)
-	e.fullFlip = true
-	return e
+	return madeFullFlip{m.NewBatchEvaluator(workers).(*madeBatchEvaluator)}
+}
+
+// FlipLogPsiBatch implements BatchEvaluator by brute force.
+func (e madeFullFlip) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
+	nf := len(flips)
+	if base == nil {
+		base = make([]float64, b.N)
+	}
+	e.LogPsiBatch(b, base)
+	fb := ConfigBatch{N: b.N * nf, Sites: b.Sites, Bits: make([]int, b.N*nf*b.Sites)}
+	for r := 0; r < fb.N; r++ {
+		row := fb.Row(r)
+		copy(row, b.Row(r/nf))
+		row[flips[r%nf]] ^= 1
+	}
+	e.LogPsiBatch(fb, delta)
+	for r := range delta {
+		delta[r] -= base[r/nf]
+	}
 }
 
 // toFloats converts configuration rows [lo, hi) of b into xf rows [0, ...).
@@ -184,7 +202,7 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 		_, z1, a, z2 := e.forwardSlab(b, lo, hi, true)
 		ranges := parallel.Partition(hi-lo, e.workers)
 		parallel.ForEach(len(ranges), e.workers, func(w int) {
-			dz2, da := e.dz2[w], e.da[w]
+			dz2, da := e.work[w].dz2, e.work[w].da
 			for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
 				grad := ows.Sample(lo + r)
 				m.gradFromForward(b.Row(lo+r), z1.Row(r), a.Row(r), z2.Row(r), dz2, da, grad)
@@ -195,16 +213,12 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 }
 
 // FlipLogPsiBatch implements BatchEvaluator under the tail-only flip
-// convention. Base rows run the fresh two-GEMM forward (the flip cache's
-// base convention) and record the per-site prefix sums of the
-// log-probability fold. Flip rows are laid out group-major (all B rows of
-// flip f contiguous) so each group shares one column range: layer 1 is
-// seeded by copying the base pre-activations and recomputing only the
-// hidden-unit runs whose mask sees the flipped bit (MADE.flipRuns), layer 2
-// runs a column-range GEMM over output sites j > b only, and the fold
-// resumes from the base prefix p[b] — on average halving layer-2 and
-// log-sigmoid work while producing flipped log-psi values bitwise identical
-// to a fresh LogPsi. The emitted deltas subtract the base exactly as the
+// convention of MADE.NewFlipCache, sample-major: one parallel section splits
+// the base rows across the workers, and each worker carries its rows end to
+// end in its own workspace — the base forward with its resume snapshots
+// (baseRow), then every flip of that row as a tail evaluation (flipRow).
+// The flipped log-psi values are bitwise identical to a fresh LogPsi of each
+// flipped configuration, and the deltas subtract the base exactly as the
 // scalar FlipCache.Delta does.
 func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64) {
 	m := e.m
@@ -215,335 +229,209 @@ func (e *madeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 	if (base != nil && len(base) != b.N) || len(delta) != b.N*nf {
 		panic("nn: FlipLogPsiBatch output length mismatch")
 	}
-	if base == nil {
-		// MADE's deltas subtract the base log-psi, and the prefix fold
-		// computes it as a byproduct — stage it in a reusable buffer.
-		if cap(e.bufBase) < b.N {
-			e.bufBase = make([]float64, b.N)
-		}
-		base = e.bufBase[:b.N]
+	if e.work[0].z1 == nil {
+		e.allocFlipWork()
 	}
 	wm1t, wm2t := m.maskedWeights()
-	// Layer-2 prefix snapshots are taken at the first hidden unit each
-	// flip bit can change (the start of its first flipRuns range): every
-	// unit before it is bitwise untouched by that flip, so the flip row's
-	// layer-2 fold can resume from the base fold there.
-	maxK0 := -1
-	needSnap := make([]bool, m.h)
-	needPre := make([]bool, m.n)
-	for _, bit := range flips {
-		if runs := m.flipRuns[bit]; len(runs) > 0 {
-			needPre[bit] = true
-			k0 := runs[0][0]
-			needSnap[k0] = true
-			if k0 > maxK0 {
-				maxK0 = k0
+	ranges := parallel.Partition(b.N, e.workers)
+	parallel.ForEach(len(ranges), e.workers, func(w int) {
+		ws := &e.work[w]
+		for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
+			x := b.Row(r)
+			logPsi := 0.5 * ws.baseRow(m, wm1t, wm2t, x)
+			if base != nil {
+				base[r] = logPsi
 			}
-		}
-	}
-	slab := batchSlabRows / (nf + 1)
-	if slab < 1 {
-		slab = 1
-	}
-	for lo := 0; lo < b.N; lo += slab {
-		hi := lo + slab
-		if hi > b.N {
-			hi = b.N
-		}
-		s := hi - lo
-		// Fresh base forward. The tail-only path runs layer 1 as an
-		// explicit ascending-site fold so it can snapshot, for every site
-		// i, the partial sums over inputs < i (pre rows [i*s, (i+1)*s)):
-		// a flip of bit i resumes each element's accumulation chain from
-		// that snapshot, which is bitwise the same chain MatMul runs. The
-		// fold adds wm1t row i to every sample with bit i set — exactly
-		// MatMul's ascending-k skip-zero / multiply-elided accumulation.
-		xfb := growMat(&e.bufXB, s, m.n)
-		e.toFloats(b, lo, hi, xfb)
-		zb1 := growMat(&e.bufZ1, s, m.h)
-		var pre *tensor.Matrix
-		if e.fullFlip || nf == 0 {
-			tensor.MatMul(zb1, xfb, wm1t, e.workers)
-		} else {
-			pre = growMat(&e.bufPre, m.n*s, m.h)
-			parallel.For(s, e.workers, func(slo, shi int) {
-				for si := slo; si < shi; si++ {
-					row := zb1.Row(si)
-					for k := range row {
-						row[k] = 0
-					}
-				}
-			})
-			for i := 0; i < m.n; i++ {
-				if needPre[i] {
-					// Only sites actually flipped (with a non-empty run)
-					// are ever resumed from; skip the other bands' copies.
-					copy(pre.Data[i*s*m.h:(i+1)*s*m.h], zb1.Data[:s*m.h])
-				}
-				// Input i's mask support is exactly flipRuns[i] (units of
-				// degree > i); the masked-out weights are +/-0, so adding
-				// only the support is bitwise MatMul's full-row add.
-				wrow := wm1t.Row(i)
-				iruns := m.flipRuns[i]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						if xfb.Row(si)[i] == 1 {
-							drow := zb1.Row(si)
-							for _, run := range iruns {
-								dst := drow[run[0]:run[1]]
-								src := wrow[run[0]:run[1]]
-								for k := range dst {
-									dst[k] += src[k]
-								}
-							}
-						}
-					}
-				})
-			}
-		}
-		tensor.AddRowBias(zb1, m.B1, e.workers)
-		// Base layer 2, with the tail-only path running the explicit
-		// ascending-unit fold (bitwise MatMulReLU's chain) so it can
-		// snapshot the partial sums the flip rows resume from.
-		zb2 := growMat(&e.bufZ2, s, m.n)
-		var pre2 *tensor.Matrix
-		if e.fullFlip || nf == 0 || maxK0 < 0 {
-			tensor.MatMulReLU(zb2, zb1, wm2t, e.workers)
-		} else {
-			pre2 = growMat(&e.bufPre2, (maxK0+1)*s, m.n)
-			parallel.For(s, e.workers, func(slo, shi int) {
-				for si := slo; si < shi; si++ {
-					row := zb2.Row(si)
-					for j := range row {
-						row[j] = 0
-					}
-				}
-			})
-			for k := 0; k < m.h; k++ {
-				if k <= maxK0 && needSnap[k] {
-					copy(pre2.Data[k*s*m.n:(k+1)*s*m.n], zb2.Data[:s*m.n])
-				}
-				// Unit k's layer-2 mask support is the output suffix
-				// [deg(k), n) (empty at degree 0); masked-out weights are
-				// +/-0, so restricting the add is bitwise MatMulReLU.
-				d0 := m.deg[k]
-				if d0 == 0 {
-					continue
-				}
-				wsub := wm2t.Row(k)[d0:]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						if av := zb1.Row(si)[k]; av > 0 {
-							dsub := zb2.Row(si)[d0:]
-							for j, wv := range wsub {
-								dsub[j] += av * wv
-							}
-						}
-					}
-				})
-			}
-		}
-		tensor.AddRowBias(zb2, m.B2, e.workers)
-		p := growMat(&e.bufP, s, m.n+1)
-		parallel.For(s, e.workers, func(slo, shi int) {
-			for si := slo; si < shi; si++ {
-				x := b.Row(lo + si)
-				zrow := zb2.Row(si)
-				prow := p.Row(si)
-				var lp float64
-				prow[0] = 0
-				for j, xb := range x {
-					if xb == 1 {
-						lp += logSigmoid(zrow[j])
-					} else {
-						lp += logSigmoid(-zrow[j])
-					}
-					prow[j+1] = lp
-				}
-				base[lo+si] = 0.5 * lp
-			}
-		})
-		if nf == 0 {
-			continue
-		}
-		fr := s * nf
-		xff := growMat(&e.bufXF, fr, m.n)
-		zf1 := growMat(&e.bufZB1, fr, m.h)
-		zf2 := growMat(&e.bufZB2, fr, m.n)
-		// Group-major super-batch: row f*s+si is sample si with bit
-		// flips[f] flipped. In tail-only mode layer 1 is seeded with the
-		// base pre-activations — bitwise valid for every hidden unit the
-		// mask hides from the flipped bit — and only the flipRuns columns
-		// are recomputed; the full-flip reference recomputes everything
-		// with whole-super-batch GEMMs (the PR 4 shape).
-		parallel.For(fr, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				f, si := r/s, r%s
-				x := b.Row(lo + si)
-				row := xff.Row(r)
-				for i, xb := range x {
-					row[i] = float64(xb)
-				}
-				row[flips[f]] = float64(1 - x[flips[f]])
-				if !e.fullFlip {
-					copy(zf1.Row(r), zb1.Row(si))
-				}
-			}
-		})
-		if e.fullFlip {
-			tensor.MatMul(zf1, xff, wm1t, e.workers)
-			tensor.AddRowBias(zf1, m.B1, e.workers)
-			tensor.MatMulReLU(zf2, zf1, wm2t, e.workers)
-			tensor.AddRowBias(zf2, m.B2, e.workers)
-		} else {
 			for f, bit := range flips {
-				xb := &tensor.Matrix{Rows: s, Cols: m.n, Data: xff.Data[f*s*m.n : (f+1)*s*m.n]}
-				z1b := &tensor.Matrix{Rows: s, Cols: m.h, Data: zf1.Data[f*s*m.h : (f+1)*s*m.h]}
-				z2b := &tensor.Matrix{Rows: s, Cols: m.n, Data: zf2.Data[f*s*m.n : (f+1)*s*m.n]}
-				runs := m.flipRuns[bit]
-				if len(runs) == 0 {
-					// No hidden unit sees this bit: every tail output
-					// pre-activation is bitwise the base one; only the
-					// flipped site's term re-branches, which the fold stage
-					// reads from zb2 directly.
-					if bit+1 < m.n {
-						parallel.For(s, e.workers, func(slo, shi int) {
-							for si := slo; si < shi; si++ {
-								copy(z2b.Row(si)[bit+1:], zb2.Row(si)[bit+1:])
-							}
-						})
-					}
-					continue
-				}
-				{
-					// Changed hidden columns: restart each element from the
-					// base fold's snapshot before site `bit`, re-run the
-					// suffix of the accumulation chain against the flipped
-					// float row (identical adds for every site > bit), then
-					// apply the bias — bitwise the fresh layer-1 fold at a
-					// fraction of its cost. Unchanged columns keep the base
-					// z1 bytes they were seeded with.
-					preBand := pre.Data[bit*s*m.h : (bit+1)*s*m.h]
-					parallel.For(s, e.workers, func(slo, shi int) {
-						for si := slo; si < shi; si++ {
-							zrow := z1b.Row(si)
-							prow := preBand[si*m.h : (si+1)*m.h]
-							for _, run := range runs {
-								copy(zrow[run[0]:run[1]], prow[run[0]:run[1]])
-							}
-							xrow := xb.Row(si)
-							for i := bit; i < m.n; i++ {
-								if xrow[i] != 1 {
-									continue
-								}
-								wrow := wm1t.Row(i)
-								off := 0
-								if m.runsAscending {
-									// Within an ascending run, input i's
-									// mask support is the suffix starting
-									// i-bit units in (the rest would add
-									// exact +/-0 terms).
-									off = i - bit
-								}
-								for _, run := range runs {
-									r0 := run[0] + off
-									if r0 >= run[1] {
-										continue
-									}
-									dst := zrow[r0:run[1]]
-									src := wrow[r0:run[1]]
-									for k := range dst {
-										dst[k] += src[k]
-									}
-								}
-							}
-						}
-					})
-					for _, run := range runs {
-						tensor.AddRowBiasCols(z1b, m.B1, run[0], run[1], e.workers)
-					}
-				}
-				if bit+1 >= m.n {
-					continue
-				}
-				// Layer-2 tail: resume each element's fold from the base
-				// snapshot before the first changed hidden unit, then run
-				// the suffix against the flip row's activations (ReLU as
-				// the same skip-on-nonpositive MatMulReLU uses).
-				k0 := runs[0][0]
-				preBand2 := pre2.Data[k0*s*m.n : (k0+1)*s*m.n]
-				parallel.For(s, e.workers, func(slo, shi int) {
-					for si := slo; si < shi; si++ {
-						zrow := z2b.Row(si)[bit+1:]
-						copy(zrow, preBand2[si*m.n+bit+1:(si+1)*m.n])
-						arow := z1b.Row(si)
-						for k := k0; k < m.h; k++ {
-							av := arow[k]
-							if av <= 0 {
-								continue
-							}
-							// Unit k only feeds outputs j >= deg(k); the
-							// masked-out head of the row is +/-0.
-							lo2 := bit + 1
-							if d := m.deg[k]; d > lo2 {
-								lo2 = d
-							} else if d == 0 {
-								continue
-							}
-							if lo2 >= m.n {
-								continue
-							}
-							wsub := wm2t.Row(k)[lo2:]
-							dsub := zrow[lo2-bit-1:]
-							for j, wv := range wsub {
-								dsub[j] += av * wv
-							}
-						}
-					}
-				})
-				tensor.AddRowBiasCols(z2b, m.B2, bit+1, m.n, e.workers)
+				delta[r*nf+f] = 0.5*ws.flipRow(m, wm1t, wm2t, x, bit) - logPsi
 			}
 		}
-		// Fold the tails (full fold in fullFlip mode) and emit deltas.
-		parallel.For(fr, e.workers, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				f, si := r/s, r%s
-				bit := flips[f]
-				x := b.Row(lo + si)
-				var lp float64
-				if e.fullFlip {
-					lp = logProbFromZ2F(xff.Row(r), zf2.Row(r))
-				} else {
-					lp = p.Row(si)[bit]
-					if x[bit] == 0 { // flipped value is 1
-						lp += logSigmoid(zb2.Row(si)[bit])
-					} else {
-						lp += logSigmoid(-zb2.Row(si)[bit])
-					}
-					zrow := zf2.Row(r)
-					for j := bit + 1; j < m.n; j++ {
-						if x[j] == 1 {
-							lp += logSigmoid(zrow[j])
-						} else {
-							lp += logSigmoid(-zrow[j])
-						}
-					}
-				}
-				delta[(lo+si)*nf+f] = 0.5*lp - base[lo+si]
-			}
-		})
+	})
+}
+
+// allocFlipWork sizes every worker's flip-kernel state for the model. The
+// layer-2 snapshots cover the units a flip's changes can start at: the
+// first unit of each non-empty flipRuns.
+func (e *madeBatchEvaluator) allocFlipWork() {
+	m := e.m
+	nSnap := 0
+	for _, runs := range m.flipRuns {
+		if len(runs) > 0 && runs[0][0] >= nSnap {
+			nSnap = runs[0][0] + 1
+		}
+	}
+	for w := range e.work {
+		// One block per worker, with a cache line of padding so no two
+		// workers ever write to the same line.
+		buf := make([]float64, 2*m.h+3*m.n+1+m.n*m.h+nSnap*m.n+cacheLineFloats)
+		take := func(k int) []float64 {
+			s := buf[:k:k]
+			buf = buf[k:]
+			return s
+		}
+		ws := &e.work[w]
+		ws.z1, ws.fz1 = take(m.h), take(m.h)
+		ws.z2, ws.fz2, ws.p = take(m.n), take(m.n), take(m.n+1)
+		ws.pre1, ws.pre2 = take(m.n*m.h), take(nSnap*m.n)
+		ws.nSnap = nSnap
 	}
 }
 
-// madeBatchAncestral advances all samples of a batch site-by-site, keeping
-// the whole B x h hidden state resident and touching weight column i of
-// every sample before moving to site i+1. The per-sample arithmetic is
-// exactly the incremental evaluator's (ConditionalRow + AccumulateInput),
-// so given the same uniforms the sampled bits are identical to scalar
-// ancestral sampling.
+// baseRow runs the fresh forward of configuration x and returns log pi(x),
+// leaving z1, z2 and the fold prefix sums p in the workspace. Both layers
+// run as explicit ascending folds that are bitwise the chains of MatMul and
+// MatMulReLU (see forwardSlab): layer 1 adds wm1t row i for every set bit i,
+// but only on flipRuns[i], input i's mask support (the masked-out weights
+// are +/-0, exact no-op terms); layer 2 adds relu(z1[k]) * wm2t row k over
+// unit k's output support [deg(k), n); each bias follows its dot product.
+// On the way it snapshots the partial sums the flip rows resume from.
+func (w *madeWork) baseRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int) float64 {
+	z1 := w.z1
+	clear(z1)
+	for i, xb := range x {
+		snap := w.pre1[i*m.h : (i+1)*m.h]
+		wrow := wm1t.Row(i)
+		for _, run := range m.flipRuns[i] {
+			dst := z1[run[0]:run[1]]
+			copy(snap[run[0]:run[1]], dst)
+			if xb == 1 {
+				for k, v := range wrow[run[0]:run[1]] {
+					dst[k] += v
+				}
+			}
+		}
+	}
+	for k, v := range m.B1 {
+		z1[k] += v
+	}
+	z2 := w.z2
+	clear(z2)
+	for k, av := range z1 {
+		if k < w.nSnap {
+			copy(w.pre2[k*m.n:(k+1)*m.n], z2)
+		}
+		d0 := m.deg[k]
+		if d0 == 0 || av <= 0 {
+			continue
+		}
+		dst := z2[d0:]
+		for j, wv := range wm2t.Row(k)[d0:] {
+			dst[j] += av * wv
+		}
+	}
+	for j, v := range m.B2 {
+		z2[j] += v
+	}
+	var lp float64
+	w.p[0] = 0
+	for j, xb := range x {
+		z := z2[j]
+		if xb != 1 {
+			z = -z
+		}
+		lp += logSigmoid(z)
+		w.p[j+1] = lp
+	}
+	return lp
+}
+
+// flipRow returns log pi of x with bit flipped; baseRow(x) must have run on
+// this workspace. It evaluates only the tail, as MADE.NewFlipCache argues:
+// hidden units outside flipRuns[bit] keep their base values, and each unit
+// inside resumes its layer-1 chain from the snapshot before site bit; output
+// sites j > bit resume their layer-2 chain from the snapshot before the
+// first changed unit (ReLU as MatMulReLU's skip-on-nonpositive); the fold
+// resumes from p[bit], with site bit's unchanged pre-activation re-branched
+// on the flipped value. Every element sees exactly the additions a fresh
+// forward of the flipped configuration performs, so the result is bitwise
+// that forward's.
+func (w *madeWork) flipRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int, bit int) float64 {
+	runs := m.flipRuns[bit]
+	z2 := w.z2 // no hidden unit sees the bit: the base outputs stand
+	if len(runs) > 0 {
+		fz1 := w.fz1
+		copy(fz1, w.z1)
+		snap := w.pre1[bit*m.h : (bit+1)*m.h]
+		for _, run := range runs {
+			copy(fz1[run[0]:run[1]], snap[run[0]:run[1]])
+		}
+		for i := bit; i < m.n; i++ {
+			xi := x[i]
+			if i == bit {
+				xi = 1 - xi
+			}
+			if xi != 1 {
+				continue
+			}
+			off := 0
+			if m.runsAscending {
+				// Within an ascending run, input i's mask support is the
+				// suffix starting i-bit units in.
+				off = i - bit
+			}
+			wrow := wm1t.Row(i)
+			for _, run := range runs {
+				if r0 := run[0] + off; r0 < run[1] {
+					src := wrow[r0:run[1]]
+					dst := fz1[r0:run[1]]
+					dst = dst[:len(src)]
+					for k, v := range src {
+						dst[k] += v
+					}
+				}
+			}
+		}
+		for _, run := range runs {
+			for k := run[0]; k < run[1]; k++ {
+				fz1[k] += m.B1[k]
+			}
+		}
+		if bit+1 < m.n {
+			z2 = w.fz2
+			k0 := runs[0][0]
+			copy(z2[bit+1:], w.pre2[k0*m.n+bit+1:(k0+1)*m.n])
+			for k := k0; k < m.h; k++ {
+				av, d := fz1[k], m.deg[k]
+				if av <= 0 || d == 0 {
+					continue
+				}
+				// Unit k only feeds outputs j >= deg(k).
+				lo := max(bit+1, d)
+				src := wm2t.Row(k)[lo:]
+				dst := z2[lo:]
+				dst = dst[:len(src)]
+				for j, wv := range src {
+					dst[j] += av * wv
+				}
+			}
+			for j := bit + 1; j < m.n; j++ {
+				z2[j] += m.B2[j]
+			}
+		}
+	}
+	zb := w.z2[bit]
+	if x[bit] == 1 { // flipped value is 0
+		zb = -zb
+	}
+	lp := w.p[bit] + logSigmoid(zb)
+	for j := bit + 1; j < m.n; j++ {
+		z := z2[j]
+		if x[j] != 1 {
+			z = -z
+		}
+		lp += logSigmoid(z)
+	}
+	return lp
+}
+
+// madeBatchAncestral samples a batch row by row: one parallel section splits
+// the rows across the workers, and each worker walks its rows through the
+// incremental evaluator's arithmetic (ConditionalRow + AccumulateInput) in a
+// private hidden-state vector, so given the same uniforms the sampled bits
+// are identical to scalar ancestral sampling.
 type madeBatchAncestral struct {
 	m   *MADE
-	buf []float64
+	buf []float64 // per-worker hidden pre-activations, h each
 }
 
 // NewBatchAncestralSampler implements BatchAncestralBuilder.
@@ -560,25 +448,30 @@ func (a *madeBatchAncestral) Sample(b ConfigBatch, u []float64, workers int) {
 	if len(u) < b.N*m.n {
 		panic("nn: batched ancestral uniforms too short")
 	}
-	z1 := growMat(&a.buf, b.N, m.h)
-	parallel.For(b.N, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			copy(z1.Row(r), m.B1)
-		}
-	})
-	for i := 0; i < m.n; i++ {
-		parallel.For(b.N, workers, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := z1.Row(r)
+	if workers <= 0 {
+		workers = parallel.MaxWorkers()
+	}
+	ranges := parallel.Partition(b.N, workers)
+	// Pad each worker's vector so no two workers write to one cache line.
+	stride := m.h + cacheLineFloats
+	if need := len(ranges) * stride; cap(a.buf) < need {
+		a.buf = make([]float64, need)
+	}
+	parallel.ForEach(len(ranges), workers, func(w int) {
+		z1 := a.buf[w*stride : w*stride+m.h]
+		for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
+			copy(z1, m.B1)
+			x, ur := b.Row(r), u[r*m.n:(r+1)*m.n]
+			for i := range x {
 				bit := 0
-				if u[r*m.n+i] < m.ConditionalRow(row, i) {
+				if ur[i] < m.ConditionalRow(z1, i) {
 					bit = 1
 				}
-				b.Bits[r*b.Sites+i] = bit
-				m.AccumulateInput(row, i, bit)
+				x[i] = bit
+				m.AccumulateInput(z1, i, bit)
 			}
-		})
-	}
+		}
+	})
 }
 
 var (

@@ -59,9 +59,9 @@ func NewAutoMADE(m *nn.MADE, incremental bool, workers int, r *rng.Rand) *Auto {
 	return NewAuto(m.NumSites(), f, workers, r)
 }
 
-// NewAutoBatched builds the batched ancestral sampler: all samples advance
-// together site-by-site through the model's BatchAncestralSampler (one
-// fused pass over the B x h hidden state per site). The RNG streams, their
+// NewAutoBatched builds the batched ancestral sampler: the whole batch goes
+// through the model's BatchAncestralSampler in one call (MADE row by row in
+// per-worker state, NADE and the RNN site-major). The RNG streams, their
 // per-worker slab assignment and the drawn bits are bitwise identical to
 // the scalar incremental sampler built with the same workers and r — the
 // batched mode changes memory layout and loop order, never a sampled bit.
@@ -117,8 +117,8 @@ func (a *Auto) Sample(b *Batch) {
 
 // sampleBatched pre-draws every uniform the scalar loop would consume —
 // worker w drawing for its slab in (sample, site) order from its own
-// stream, exactly the scalar consumption order — then advances the whole
-// batch site-major through the model's fused per-site pass.
+// stream, exactly the scalar consumption order — then hands the whole
+// batch to the model's BatchAncestralSampler.
 func (a *Auto) sampleBatched(b *Batch) {
 	if need := b.N * a.sites; cap(a.ubuf) < need {
 		a.ubuf = make([]float64, need)

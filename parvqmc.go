@@ -129,7 +129,7 @@ type Options struct {
 	// RBM).
 	Hidden int
 	// Sampler selects "auto" (exact ancestral sampling, default for MADE;
-	// batched site-major when BatchedEval is on, incremental otherwise —
+	// batched when BatchedEval is on, incremental otherwise —
 	// same bits either way), "auto-naive" (Algorithm 1: n forward passes
 	// per sample), or "mcmc" (default for RBM).
 	Sampler string
