@@ -53,13 +53,13 @@ func runServe(n, hsz int, quick bool, out string) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
-		Note: "closed-loop serve load: coalesced (cross-request batch fold, default window) vs " +
-			"per-request (MaxBatch=1, never wait) dispatch on the same MADE model; every response " +
-			"in every run is verified bitwise against the direct single-caller evaluation " +
-			"(verified = checks performed). speedup on a coalesced row is its QPS over the " +
-			"matching per-request row. The fold pays off with concurrency: at low client counts " +
-			"the batch window is idle latency and per-request dispatch wins; at high client " +
-			"counts the fused GEMM over strangers' rows beats one dispatch per request.",
+		Note: "closed-loop serve load: coalesced (continuous batching: whenever the dispatcher " +
+			"frees up it folds the queued backlog, up to the default MaxBatch) vs per-request " +
+			"(MaxBatch=1) dispatch on the same MADE model; every response in every run is " +
+			"verified bitwise against the direct single-caller evaluation (verified = checks " +
+			"performed). speedup on a coalesced row is its QPS over the matching per-request " +
+			"row. The fold pays off with concurrency: at high client counts the fused GEMM over " +
+			"strangers' rows beats one dispatch per request.",
 	}
 
 	for _, kind := range []string{"logpsi", "energy"} {

@@ -12,8 +12,7 @@
 // never re-summed), and every optimizer starts from the same state, replica
 // parameters remain bit-identical across the whole run *by construction* —
 // no broadcast resynchronization is ever needed. The test suite pins this
-// invariant with exact (==) comparisons, mirroring what package modelpar
-// guarantees for the model-parallel dimension.
+// invariant with exact (==) comparisons.
 //
 // Two levels of parallelism compose here, modeling node x GPU hierarchies:
 // the replicas are the outer data-parallel dimension, and each replica can

@@ -2,8 +2,9 @@ package serve
 
 // FuzzCoalescer drives a live coalescer with a byte-string-derived
 // configuration and operation stream — concurrent submits, cancellations,
-// and hot-swaps against fuzzer-chosen window/batch/admission tuning — and
-// holds the lifecycle invariants: every operation terminates with either a
+// and hot-swaps against fuzzer-chosen batch/admission tuning, with the
+// dispatcher either free-running or parked until a drain — and holds the
+// lifecycle invariants: every operation terminates with either a
 // bitwise-correct value or a declared error (ErrOverloaded / ErrDraining /
 // context error), nothing hangs, and the admission reservation drains to
 // zero. Runs in CI's fuzz smoke alongside FuzzChunkBounds.
@@ -29,33 +30,30 @@ func FuzzCoalescer(f *testing.F) {
 		const n, h = 7, 8
 		at := func(i int) byte { return ops[i%len(ops)] }
 
-		// Fuzzer-chosen tuning. Window spans the degenerate cases: never
-		// wait, tiny, and "longer than the test" (forcing MaxBatch or
-		// drain to close groups).
+		// Fuzzer-chosen tuning. A parked dispatcher evaluates nothing
+		// until the drain has begun, so the whole stream queues (or is
+		// shed) behind one request and the drain alone must finish it.
 		maxBatch := 1 + int(at(0))%16
 		maxPending := 1 + int(at(1))%12
-		var window time.Duration
-		switch at(2) % 3 {
-		case 0:
-			window = ExplicitZeroWindow
-		case 1:
-			window = time.Duration(1+at(2)%100) * time.Microsecond
-		case 2:
-			window = time.Hour
-		}
+		parkDispatcher := at(2)%2 == 1
 
+		// live starts on A's parameters (same seed), so the references
+		// below cover every value it can serve.
 		wfA := buildWF("made", n, h, 71)
 		wfB := buildWF("made", n, h, 72)
-		live := buildWF("made", n, h, 73)
+		live := buildWF("made", n, h, 71)
 		s := NewServer(ServerConfig{})
-		err := s.Register("m", ModelSpec{WF: live, Config: Config{
-			MaxBatch: maxBatch, Window: window, MaxPending: maxPending,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Swap(context.Background(), "m", wfA); err != nil {
-			t.Fatal(err)
+		spec := ModelSpec{WF: live, Config: Config{MaxBatch: maxBatch, MaxPending: maxPending}}
+		var m *modelService
+		var g *gatedEval
+		var parked <-chan outcome
+		if parkDispatcher {
+			m, g, parked = parkModel(t, s, spec)
+		} else {
+			if err := s.Register("m", spec); err != nil {
+				t.Fatal(err)
+			}
+			m, _ = s.lookup("m")
 		}
 
 		// Per-workload references under both parameter sets: any served
@@ -84,7 +82,8 @@ func FuzzCoalescer(f *testing.F) {
 					if at(i+1)%2 == 0 {
 						src = wfB
 					}
-					if err := s.Swap(context.Background(), "m", src); err != nil && !errors.Is(err, ErrDraining) {
+					err := s.Swap(context.Background(), "m", src)
+					if err != nil && !errors.Is(err, ErrDraining) && !errors.Is(err, ErrOverloaded) {
 						errCh <- fmt.Errorf("op %d swap: %v", i, err)
 					}
 				}(i)
@@ -107,27 +106,41 @@ func FuzzCoalescer(f *testing.F) {
 			}
 		}
 
-		// With an hour-long window the only thing that closes a partial
-		// group is MaxBatch or the drain — so the drain below is load-
-		// bearing: if it hangs, requests hang, and the fuzz run times out
-		// (a found bug, not flake).
+		// Parked: every operation is queued or shed before the drain
+		// begins, and only then is the dispatcher released — so the drain
+		// alone must finish the backlog. If it hangs, requests hang, and
+		// the fuzz run times out (a found bug, not flake).
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
-		if window == time.Hour {
-			time.Sleep(time.Millisecond)
-			s.Close()
+		closed := make(chan struct{})
+		if parkDispatcher {
+			waitFor(t, "every operation queued or shed", func() bool {
+				return len(m.reqCh)+int(m.rejected.Load()) == len(ops)
+			})
+			go func() { s.Close(); close(closed) }()
+			waitFor(t, "drain to begin", func() bool {
+				m.mu.RLock()
+				defer m.mu.RUnlock()
+				return m.draining
+			})
+			g.release()
+			if o := await(t, parked); o.err != nil {
+				t.Fatalf("parking request: %v", o.err)
+			}
 		}
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
 			t.Fatal("coalescer hung: operations did not terminate")
 		}
+		if parkDispatcher {
+			<-closed
+		}
 		s.Close()
 		close(errCh)
 		for err := range errCh {
 			t.Fatal(err)
 		}
-		m, _ := s.lookup("m")
 		if p := m.pendingRows.Load(); p != 0 {
 			t.Fatalf("pending rows did not drain: %d", p)
 		}

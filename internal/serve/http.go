@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -88,17 +89,25 @@ const maxBodyBytes = 8 << 20
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		// A body is exactly one JSON value: a second value or trailing
+		// bytes after it make the request malformed, never ignored.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		return false
 	}
-	return true
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+	return false
 }
 
 // NewHandler wraps a Server in the JSON HTTP API above. The handler does

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
@@ -207,15 +208,30 @@ func TestHTTPErrorMapping(t *testing.T) {
 	postJSON(t, ts, "/v1/models/nope/logpsi", configsRequest{Configs: cfgs}, nil, http.StatusNotFound)
 	// Bad configs -> 400.
 	postJSON(t, ts, "/v1/models/m/logpsi", configsRequest{Configs: [][]int{{0, 2}}}, nil, http.StatusBadRequest)
-	// Unknown JSON field -> 400.
+	// Unknown JSON field, a second JSON value, or trailing bytes -> 400.
+	for name, body := range map[string]string{
+		"unknown field":    `{"configs": [[0,1,0,1,0,1,0,1]], "bogus": 1}`,
+		"second value":     `{"configs": [[0,1,0,1,0,1,0,1]]}{"configs": "junk"}`,
+		"trailing garbage": `{"configs": [[0,1,0,1,0,1,0,1]]} trailing garbage`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/models/m/logpsi", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	// Trailing whitespace is not trailing data.
 	resp, err := http.Post(ts.URL+"/v1/models/m/logpsi", "application/json",
-		bytes.NewReader([]byte(`{"configs": [[0,1,0,1,0,1,0,1]], "bogus": 1}`)))
+		strings.NewReader("{\"configs\": [[0,1,0,1,0,1,0,1]]}\n \n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want 200", resp.StatusCode)
 	}
 	// Energy without a Hamiltonian -> 400 (unsupported).
 	postJSON(t, ts, "/v1/models/m/energy", configsRequest{Configs: cfgs}, nil, http.StatusBadRequest)

@@ -31,12 +31,11 @@ type LoadConfig struct {
 	Duration time.Duration
 	// Kind selects the endpoint: "logpsi" or "energy".
 	Kind string
-	// Coalesce=true serves with the default window/batch bound;
-	// false forces MaxBatch=1 (per-request dispatch).
+	// Coalesce=true serves with the default batch bound; false forces
+	// MaxBatch=1 (per-request dispatch).
 	Coalesce bool
-	// MaxBatch/Window override the coalesced tuning when nonzero.
+	// MaxBatch overrides the coalesced batch bound when nonzero.
 	MaxBatch int
-	Window   time.Duration
 	// Workers bounds eval fan-out (<= 0: GOMAXPROCS).
 	Workers int
 	// Seed pins the model parameters and client workloads.
@@ -90,10 +89,9 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	ham := hamiltonian.RandomTIM(cfg.Sites, r)
 	wf := nn.NewMADE(cfg.Sites, cfg.Hidden, r.Split())
 
-	sc := Config{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch, Window: cfg.Window}
+	sc := Config{Workers: cfg.Workers, MaxBatch: cfg.MaxBatch}
 	if !cfg.Coalesce {
 		sc.MaxBatch = 1
-		sc.Window = ExplicitZeroWindow
 	}
 	// Admission must never throttle the measurement: bound well above the
 	// worst-case backlog (every client in flight at once).

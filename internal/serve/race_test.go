@@ -1,9 +1,10 @@
 package serve
 
 // Race and goroutine-leak regressions, run under -race in CI: hot-swap
-// under live traffic, server drain during in-flight batches, and admission
-// rejection under pressure — each ending with the elastic-package leak
-// check (goroutine count returns to baseline).
+// under live traffic, server drain during in-flight batches and of a
+// parked backlog, and admission rejection under pressure — each ending
+// with the elastic-package leak check (goroutine count returns to
+// baseline).
 
 import (
 	"context"
@@ -58,7 +59,7 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 	live := buildWF("made", n, h, 33)
 	s := NewServer(ServerConfig{})
 	err := s.Register("m", ModelSpec{WF: live, Config: Config{
-		MaxBatch: 32, Window: 50 * time.Microsecond, MaxPending: 1 << 14,
+		MaxBatch: 32, MaxPending: 1 << 14,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestDrainDuringInFlight(t *testing.T) {
 
 	s := NewServer(ServerConfig{})
 	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 64, Window: 500 * time.Microsecond, MaxPending: 1 << 14,
+		MaxBatch: 64, MaxPending: 1 << 14,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +216,62 @@ func TestDrainDuringInFlight(t *testing.T) {
 	leakCheck(t, before)
 }
 
+// TestDrainParkedGroup closes the server while its dispatcher is parked
+// with a queued backlog: Close must admit nothing new (ErrDraining) and
+// must not return before the backlog is served; once the dispatcher is
+// released every queued request completes with its own value, Close
+// returns, and nothing leaks.
+func TestDrainParkedGroup(t *testing.T) {
+	const n, h = 9, 10
+	before := runtime.NumGoroutine()
+	wf := buildWF("made", n, h, 53)
+	s := NewServer(ServerConfig{})
+	m, g, parked := parkModel(t, s, ModelSpec{WF: wf, Config: Config{MaxBatch: 64, MaxPending: 1 << 10}})
+
+	const queued = 12
+	outs := make([]<-chan outcome, queued)
+	wants := make([][]float64, queued)
+	for i := range outs {
+		cfgs := clientConfigs(40+i, 1+i%3, n)
+		wants[i] = directLogPsi(wf, cfgs)
+		outs[i] = goLogPsi(context.Background(), s, cfgs)
+	}
+	waitFor(t, "backlog queued", func() bool { return len(m.reqCh) == queued })
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor(t, "drain to begin", func() bool {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return m.draining
+	})
+	if _, err := s.LogPsi(context.Background(), "m", clientConfigs(0, 1, n)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit during drain: %v, want ErrDraining", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted requests were still queued")
+	default:
+	}
+	g.release()
+	if o := await(t, parked); o.err != nil {
+		t.Fatalf("parking request: %v", o.err)
+	}
+	for i, ch := range outs {
+		o := await(t, ch)
+		if o.err != nil {
+			t.Fatalf("queued request %d: %v", i, o.err)
+		}
+		if err := sameValues(o.got, wants[i]); err != nil {
+			t.Fatalf("queued request %d: %v", i, err)
+		}
+	}
+	<-closed
+	if p := m.pendingRows.Load(); p != 0 {
+		t.Fatalf("pending rows did not drain: %d", p)
+	}
+	leakCheck(t, before)
+}
+
 // TestAdmissionRejectionUnderRace floods a tiny-MaxPending model from many
 // goroutines at once (no pacing): the split between served and rejected is
 // nondeterministic, but every accepted answer must be bitwise correct,
@@ -229,7 +286,7 @@ func TestAdmissionRejectionUnderRace(t *testing.T) {
 
 	s := NewServer(ServerConfig{})
 	err := s.Register("m", ModelSpec{WF: wf, Config: Config{
-		MaxBatch: 4, Window: time.Millisecond, MaxPending: 4,
+		MaxBatch: 4, MaxPending: 4,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -62,17 +61,16 @@ var (
 
 // Config tunes one model's coalescer and admission control. Zero values
 // select the defaults; none of the knobs affect served VALUES, only
-// latency, throughput and rejection behavior.
+// latency, throughput and rejection behavior. The coalescer never waits:
+// whenever the dispatcher frees up it folds whatever is already queued.
 type Config struct {
-	// MaxBatch caps the rows folded into one dispatch (default 1024).
-	// MaxBatch = 1 disables coalescing: every request is its own dispatch
-	// (the A/B baseline the load harness measures against).
+	// MaxBatch bounds the fold (default 1024): the dispatcher stops
+	// collecting once the group holds MaxBatch rows or more. Requests are
+	// never split, so a group can exceed MaxBatch by up to its last
+	// request's rows minus one. MaxBatch = 1 disables coalescing: every
+	// request is its own dispatch (the A/B baseline the load harness
+	// measures against).
 	MaxBatch int
-	// Window bounds the queue delay: after a request opens a batch, the
-	// dispatcher waits at most Window for more arrivals before dispatching
-	// a partial batch (default 100us). Window = 0 folds in only requests
-	// already queued, never waiting.
-	Window time.Duration
 	// MaxPending is the admission bound: the maximum rows queued or in
 	// flight for this model before submits are rejected with ErrOverloaded
 	// (default 4096). A single request larger than MaxPending is always
@@ -88,11 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
-	if c.Window < 0 {
-		c.Window = 0
-	} else if c.Window == 0 {
-		c.Window = 100 * time.Microsecond
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4096
 	}
@@ -101,10 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// ExplicitZeroWindow is the Window value selecting "never wait": collect
-// only the backlog already queued. (Config.Window == 0 means "default".)
-const ExplicitZeroWindow = -1 * time.Nanosecond
 
 // ModelSpec registers one model: the wavefunction, an optional Hamiltonian
 // for local-energy queries, and the coalescer tuning.

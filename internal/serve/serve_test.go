@@ -2,7 +2,7 @@ package serve
 
 // Coalescing-invariance conformance suite: the serve-path extension of the
 // dist package's TestEvalConformanceMatrix table doctrine. For every model
-// family x batch-window shape x client count, every served LogPsi /
+// family x MaxBatch x client count, every served LogPsi /
 // local-energy / sample answer must be bitwise == (exact, no tolerance) to
 // the direct single-caller evaluation of that request's configurations
 // alone — no matter how the coalescer folded concurrent strangers into
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/vqmc-scale/parvqmc/internal/core"
 	"github.com/vqmc-scale/parvqmc/internal/hamiltonian"
@@ -50,19 +49,19 @@ func clientConfigs(c, rows, sites int) [][]int {
 
 func TestServeConformanceMatrix(t *testing.T) {
 	const n, h, rowsPerReq = 10, 12, 2
-	windows := []struct {
+	shapes := []struct {
 		name string
 		cfg  Config
 	}{
-		{"perRequest", Config{MaxBatch: 1, Window: ExplicitZeroWindow}},
-		{"smallWindow", Config{MaxBatch: 8, Window: 200 * time.Microsecond}},
-		{"wideWindow", Config{MaxBatch: 1024, Window: time.Millisecond}},
+		{"perRequest", Config{MaxBatch: 1}},
+		{"maxBatch8", Config{MaxBatch: 8}},
+		{"maxBatch1024", Config{MaxBatch: 1024}},
 	}
 	clientCounts := []int{1, 3, 64, 512}
 
 	for _, kind := range []string{"made", "rbm", "nade", "rnn"} {
-		for _, win := range windows {
-			t.Run(kind+"/"+win.name, func(t *testing.T) {
+		for _, shape := range shapes {
+			t.Run(kind+"/"+shape.name, func(t *testing.T) {
 				wf := buildWF(kind, n, h, 41)
 				ham := hamiltonian.RandomTIM(n, rng.New(43))
 				_, sampleable := wf.(nn.BatchAncestralBuilder)
@@ -98,7 +97,7 @@ func TestServeConformanceMatrix(t *testing.T) {
 					}
 				}
 
-				cfg := win.cfg
+				cfg := shape.cfg
 				cfg.MaxPending = 4 * maxClients * rowsPerReq
 				s := NewServer(ServerConfig{})
 				if err := s.Register("m", ModelSpec{WF: wf, Ham: ham, Config: cfg}); err != nil {
@@ -167,15 +166,15 @@ func TestServeConformanceMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// The coalescer actually coalesced in windowed shapes with
+				// The coalescer actually coalesced in batching shapes with
 				// many clients (sanity that the suite exercised the fold,
 				// not a degenerate one-request-per-batch path).
 				st, err := s.ModelStats("m")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if win.cfg.MaxBatch > 1 && st.Batches > 0 && st.Rows <= st.Batches {
-					t.Logf("note: %s/%s saw no multi-row batches (rows=%d batches=%d)", kind, win.name, st.Rows, st.Batches)
+				if shape.cfg.MaxBatch > 1 && st.Batches > 0 && st.Rows <= st.Batches {
+					t.Logf("note: %s/%s saw no multi-row batches (rows=%d batches=%d)", kind, shape.name, st.Rows, st.Batches)
 				}
 				if st.Rows == 0 {
 					t.Fatalf("no rows served")
