@@ -40,10 +40,13 @@ func configs(b *sampler.Batch) nn.ConfigBatch {
 // and base log-psi buffers the energy phase needs, so the steady state
 // allocates no per-sample buffers: what remains is each parallel section's
 // bookkeeping. For MADE, nn's TestMADEBatchAllocsBounded pins that at no
-// more than 16 allocations per FlipLogPsiBatch or batched ancestral Sample
-// call, whatever the batch size. Values produced through it are bitwise
-// identical to the scalar LocalEnergies/FillOws paths (see the
-// nn.BatchEvaluator contract); it is a pure throughput knob.
+// more than 16 allocations per FlipLogPsiBatch, WeightedGradBatch or
+// batched ancestral Sample call, whatever the batch size. Values produced
+// through it are bitwise identical to the scalar LocalEnergies/FillOws
+// paths and to FillOws + tensor.AddWeightedRows (see the nn.BatchEvaluator
+// contract); it is a pure throughput knob. The REINFORCE gradient goes
+// through WeightedGrad, which never materializes the O_k rows; FillOws
+// materializes them for the SR Fisher solve only.
 type BatchedEval struct {
 	be   nn.BatchEvaluator
 	bits []int
@@ -151,6 +154,13 @@ func (e *BatchedEval) FillOws(b *sampler.Batch, ows *tensor.Batch) {
 	e.be.GradLogPsiBatch(configs(b), ows)
 }
 
+// WeightedGrad accumulates dst += sum_k w[k] * O_k over the batch rows
+// through the evaluator's WeightedGradBatch — bitwise FillOws followed by
+// tensor.AddWeightedRows, without the B x d rows.
+func (e *BatchedEval) WeightedGrad(b *sampler.Batch, w []float64, dst tensor.Vector) {
+	e.be.WeightedGradBatch(configs(b), w, dst)
+}
+
 // LocalEnergiesBatched evaluates local energies through the model's batched
 // evaluator with a freshly built wrapper — the convenience entry point for
 // tests and benchmarks; training loops hold a BatchedEval instead.
@@ -168,43 +178,3 @@ func LocalEnergiesBatched(h hamiltonian.Hamiltonian, model nn.Wavefunction, b *s
 // finely rows are partitioned, never per-row arithmetic, so results stay
 // bitwise identical at every worker count.
 const diagGrainRows = 64
-
-// GradBlockSize is the fixed granule of the weighted row-sum reduction: rows
-// are reduced into per-block partials (each block owned by exactly one
-// worker, accumulated in ascending row order) and the partials are folded
-// serially in ascending block order. The block boundary depends only on
-// the row index — never on the worker count — so the reduced vector is
-// bitwise invariant to the worker count, the property the distributed
-// trainer's replica x worker bit-identity rests on.
-const GradBlockSize = 32
-
-// GradBlocks returns the partial count AddWeightedRows needs for n rows
-// (callers size the parts workspace once with it).
-func GradBlocks(n int) int { return (n + GradBlockSize - 1) / GradBlockSize }
-
-// AddWeightedRows accumulates dst += sum_k w[k] * rows.Sample(k) using the
-// fixed-block scheme above, fanning block partials across up to workers
-// goroutines. parts must be a GradBlocks(rows.N) x rows.Dim workspace; its
-// contents are overwritten. dst is NOT zeroed first.
-func AddWeightedRows(dst tensor.Vector, rows *tensor.Batch, w []float64, parts *tensor.Batch, workers int) {
-	nb := GradBlocks(rows.N)
-	if parts.N < nb || parts.Dim != rows.Dim {
-		panic("core: AddWeightedRows parts workspace too small")
-	}
-	parallel.For(nb, workers, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			p := parts.Sample(bi)
-			p.Fill(0)
-			k1 := (bi + 1) * GradBlockSize
-			if k1 > rows.N {
-				k1 = rows.N
-			}
-			for k := bi * GradBlockSize; k < k1; k++ {
-				p.AXPY(w[k], rows.Sample(k))
-			}
-		}
-	})
-	for bi := 0; bi < nb; bi++ {
-		dst.Add(parts.Sample(bi))
-	}
-}

@@ -119,12 +119,13 @@ type Trainer struct {
 	timings Timings
 	// Batched evaluation state: bev is non-nil when the model provides a
 	// batched path and Config.Eval allows it; wbuf holds the per-sample
-	// gradient coefficients, gparts the fixed-block reduction partials,
-	// and slabOws the gradient slab for the batched streaming path.
-	bev     *BatchedEval
-	wbuf    []float64
-	gparts  *tensor.Batch
-	slabOws *tensor.Batch
+	// gradient coefficients. gparts holds the fixed-block reduction
+	// partials and gbufs one O_k row per worker, allocated only for the
+	// paths that reduce here rather than inside the evaluator (SR, scalar).
+	bev    *BatchedEval
+	wbuf   []float64
+	gparts *tensor.Batch
+	gbufs  []tensor.Vector
 	// Evaluation workspace, cached across EvaluateBest calls so TrainUntil
 	// (which evaluates after every iteration) allocates nothing per step.
 	evalBatch  *sampler.Batch
@@ -152,7 +153,15 @@ func New(h hamiltonian.Hamiltonian, model Model, smp sampler.Sampler, opt optimi
 	}
 	t.bev = NewBatchedEval(model, cfg.Eval, cfg.Workers)
 	t.wbuf = make([]float64, cfg.BatchSize)
-	t.gparts = tensor.NewBatch(GradBlocks(cfg.BatchSize), model.NumParams())
+	if t.ows != nil || t.bev == nil {
+		t.gparts = tensor.NewBatch(tensor.GradBlocks(cfg.BatchSize), model.NumParams())
+	}
+	if t.ows == nil && t.bev == nil {
+		t.gbufs = make([]tensor.Vector, cfg.Workers)
+		for i := range t.gbufs {
+			t.gbufs[i] = tensor.NewVector(model.NumParams())
+		}
+	}
 	return t
 }
 
@@ -240,74 +249,44 @@ func FillOws(evals []nn.GradEvaluator, b *sampler.Batch, ows *tensor.Batch, work
 	})
 }
 
-// GradSlabRows is the sample-slab size of the batched streaming gradient
-// path (no materialized full O_k batch): a multiple of GradBlockSize, so
-// slab boundaries coincide with reduction-block boundaries and the slabbed
-// reduction is bitwise identical to one AddWeightedRows over the full
-// batch. Shared with the distributed trainer's REINFORCE path.
-const GradSlabRows = 128
-
 // computeGradient forms g = (2/B) sum_k (l_k - mean) O_k through the
-// fixed-block reduction of AddWeightedRows, so the result is bitwise
+// fixed-block reduction of tensor.AddWeightedRows, so the result is bitwise
 // invariant to the worker count on every path. Under SR the per-sample O_k
-// rows are also stored for the Fisher solve; otherwise the rows are
-// produced slab by slab (batched) or block by block (scalar) and never
-// fully materialized.
+// rows are also stored for the Fisher solve; otherwise the batched path
+// forms the sum inside the evaluator (WeightedGrad) and the scalar path
+// block by block, and the rows are never fully materialized.
 func (t *Trainer) computeGradient(mean float64) {
 	bs := t.batch.N
-	d := t.Model.NumParams()
 	for k := 0; k < bs; k++ {
 		t.wbuf[k] = 2 * (t.locals[k] - mean) / float64(bs)
 	}
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
+	t.grad.Fill(0)
 	if t.ows != nil {
 		if t.bev != nil {
 			t.bev.FillOws(t.batch, t.ows)
 		} else {
 			FillOws(t.evals, t.batch, t.ows, t.cfg.Workers)
 		}
-		AddWeightedRows(t.grad, t.ows, t.wbuf, t.gparts, t.cfg.Workers)
+		tensor.AddWeightedRows(t.grad, t.ows, t.wbuf, t.gparts, t.cfg.Workers)
 		return
 	}
 	if t.bev != nil {
-		// Batched streaming: evaluate O_k rows one GradSlabRows slab at a time
-		// through the fused GEMM forward, reducing each slab with the same
-		// fixed blocks the one-shot reduction uses.
-		if t.slabOws == nil {
-			t.slabOws = tensor.NewBatch(GradSlabRows, d)
-		}
-		for lo := 0; lo < bs; lo += GradSlabRows {
-			hi := lo + GradSlabRows
-			if hi > bs {
-				hi = bs
-			}
-			slab := &sampler.Batch{N: hi - lo, Sites: t.batch.Sites,
-				Bits: t.batch.Bits[lo*t.batch.Sites : hi*t.batch.Sites]}
-			rows := &tensor.Batch{N: hi - lo, Dim: d, Data: t.slabOws.Data[:(hi-lo)*d]}
-			t.bev.FillOws(slab, rows)
-			AddWeightedRows(t.grad, rows, t.wbuf[lo:hi], t.gparts, t.cfg.Workers)
-		}
+		t.bev.WeightedGrad(t.batch, t.wbuf, t.grad)
 		return
 	}
 	// Scalar streaming: each worker owns a contiguous range of fixed
 	// blocks, computing the per-block partials that are then folded in
 	// ascending block order — the same bytes AddWeightedRows produces from
 	// materialized rows.
-	nb := GradBlocks(bs)
+	nb := tensor.GradBlocks(bs)
 	branges := parallel.Partition(nb, t.cfg.Workers)
 	parallel.ForEach(len(branges), t.cfg.Workers, func(w int) {
-		ev := t.evals[w]
-		gbuf := tensor.NewVector(d)
+		ev, gbuf := t.evals[w], t.gbufs[w]
 		for bi := branges[w].Lo; bi < branges[w].Hi; bi++ {
 			p := t.gparts.Sample(bi)
 			p.Fill(0)
-			k1 := (bi + 1) * GradBlockSize
-			if k1 > bs {
-				k1 = bs
-			}
-			for k := bi * GradBlockSize; k < k1; k++ {
+			k1 := min((bi+1)*tensor.GradBlockSize, bs)
+			for k := bi * tensor.GradBlockSize; k < k1; k++ {
 				ev.GradLogPsi(t.batch.Row(k), gbuf)
 				p.AXPY(t.wbuf[k], gbuf)
 			}

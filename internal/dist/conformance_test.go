@@ -171,7 +171,9 @@ type confModel struct {
 // both the scalar and batched ancestral interfaces.
 func autoregSampler(m Model, mode core.EvalMode, stream *rng.Rand) sampler.Sampler {
 	if mode == core.EvalScalar {
-		ce := m.(interface{ NewIncrementalEvaluator() nn.ConditionalEvaluator })
+		ce := m.(interface {
+			NewIncrementalEvaluator() nn.ConditionalEvaluator
+		})
 		return sampler.NewAuto(m.NumSites(), ce.NewIncrementalEvaluator, 1, stream)
 	}
 	return sampler.NewAutoBatched(m.NumSites(), m.(nn.BatchAncestralBuilder), 1, stream)

@@ -199,7 +199,6 @@ type replicaState struct {
 	evals   []nn.GradEvaluator // one per worker
 	batch   *sampler.Batch
 	locals  []float64
-	gbuf    tensor.Vector // one sample's grad-log-psi (serial streaming path)
 	workers int
 	// acc packs the REINFORCE collective payload: [gradient (d), energy
 	// sum, energy sum of squares]. One ring all-reduce per iteration moves
@@ -209,17 +208,18 @@ type replicaState struct {
 	// when SR needs them for the Fisher solve or when workers > 1 on the
 	// scalar path materializes rows before the ordered reduction.
 	ows *tensor.Batch
-	// Batched evaluation state: bev dispatches local energies and O_k
-	// rows through blocked GEMMs (nil = scalar path); wbuf holds gradient
-	// coefficients, gparts the fixed-block reduction partials, and
-	// slabOws the REINFORCE-path gradient slab (the batched non-SR
-	// reduction streams core.GradSlabRows rows at a time instead of
-	// materializing the full miniBatch x d O_k matrix).
-	bev     *core.BatchedEval
-	wbuf    []float64
-	gparts  *tensor.Batch
-	slabOws *tensor.Batch
-	pbuf    tensor.Vector // block partial for the scalar streaming path
+	// Batched evaluation state: bev dispatches local energies and the
+	// gradient through blocked GEMMs (nil = scalar path) — the REINFORCE
+	// gradient inside the evaluator, without materializing O_k rows; wbuf
+	// holds gradient coefficients and gparts the fixed-block reduction
+	// partials of the paths that reduce materialized rows here (SR, and
+	// the scalar path at workers > 1).
+	bev    *core.BatchedEval
+	wbuf   []float64
+	gparts *tensor.Batch
+	// gbuf and pbuf hold one sample's grad-log-psi and the current block
+	// partial of the serial scalar streaming path (workers == 1, no SR).
+	gbuf, pbuf tensor.Vector
 	// SR-mode collective payloads: ebuf carries [energy sum, energy sum of
 	// squares] (the global mean must exist before the gradient is formed),
 	// gpack carries [gradient partial (d) | O-row sum (d)].
@@ -353,7 +353,6 @@ func New(h hamiltonian.Hamiltonian, reps []Replica, miniBatch int) (*Trainer, er
 			evals:   make([]nn.GradEvaluator, workers),
 			batch:   sampler.NewBatch(miniBatch, n),
 			locals:  make([]float64, miniBatch),
-			gbuf:    tensor.NewVector(t.d),
 			workers: workers,
 			acc:     tensor.NewVector(t.d + 2),
 		}
@@ -362,17 +361,12 @@ func New(h hamiltonian.Hamiltonian, reps []Replica, miniBatch int) (*Trainer, er
 		}
 		st.bev = core.NewBatchedEval(rep.Model, rep.Eval, workers)
 		st.wbuf = make([]float64, miniBatch)
-		st.gparts = tensor.NewBatch(core.GradBlocks(miniBatch), t.d)
-		st.pbuf = tensor.NewVector(t.d)
-		if t.sr || (workers > 1 && st.bev == nil) {
+		switch {
+		case t.sr || (workers > 1 && st.bev == nil):
 			st.ows = tensor.NewBatch(miniBatch, t.d)
-		}
-		if st.bev != nil && !t.sr {
-			rows := core.GradSlabRows
-			if rows > miniBatch {
-				rows = miniBatch
-			}
-			st.slabOws = tensor.NewBatch(rows, t.d)
+			st.gparts = tensor.NewBatch(tensor.GradBlocks(miniBatch), t.d)
+		case st.bev == nil:
+			st.gbuf, st.pbuf = tensor.NewVector(t.d), tensor.NewVector(t.d)
 		}
 		if t.sr {
 			st.ebuf = make([]float64, 2)
@@ -630,8 +624,8 @@ func (t *Trainer) replicaStep(r int) error {
 
 	// REINFORCE path: local covariance-style gradient (Eq. 5) with the
 	// local-batch baseline, g = (2/mb) sum_k (l_k - localMean) O_k. The
-	// reduction uses core's fixed-block scheme on every path (see
-	// core.AddWeightedRows): block boundaries depend only on the sample
+	// reduction uses the fixed-block scheme on every path (see
+	// tensor.AddWeightedRows): block boundaries depend only on the sample
 	// index, so the reduced bytes are bitwise invariant to the worker
 	// count and to the batched/scalar choice.
 	localMean := s / float64(t.mb)
@@ -641,32 +635,15 @@ func (t *Trainer) replicaStep(r int) error {
 	st.acc.Fill(0)
 	grad := st.acc[:t.d]
 	if st.bev != nil {
-		// Batched streaming: O_k rows one core.GradSlabRows slab at a
-		// time through the fused GEMM forward; slab boundaries align with
-		// the reduction blocks, so the bytes equal a one-shot reduction
-		// over a fully materialized O_k batch.
-		for lo := 0; lo < t.mb; lo += core.GradSlabRows {
-			hi := lo + core.GradSlabRows
-			if hi > t.mb {
-				hi = t.mb
-			}
-			slab := &sampler.Batch{N: hi - lo, Sites: st.batch.Sites,
-				Bits: st.batch.Bits[lo*st.batch.Sites : hi*st.batch.Sites]}
-			rows := &tensor.Batch{N: hi - lo, Dim: t.d, Data: st.slabOws.Data[:(hi-lo)*t.d]}
-			st.bev.FillOws(slab, rows)
-			core.AddWeightedRows(grad, rows, st.wbuf[lo:hi], st.gparts, st.workers)
-		}
+		st.bev.WeightedGrad(st.batch, st.wbuf, grad)
 	} else if st.ows != nil {
 		core.FillOws(st.evals, st.batch, st.ows, st.workers)
-		core.AddWeightedRows(grad, st.ows, st.wbuf, st.gparts, st.workers)
+		tensor.AddWeightedRows(grad, st.ows, st.wbuf, st.gparts, st.workers)
 	} else {
 		// Serial streaming (workers == 1, scalar): the same fixed blocks,
 		// folded in ascending order as they complete.
-		for lo := 0; lo < t.mb; lo += core.GradBlockSize {
-			hi := lo + core.GradBlockSize
-			if hi > t.mb {
-				hi = t.mb
-			}
+		for lo := 0; lo < t.mb; lo += tensor.GradBlockSize {
+			hi := min(lo+tensor.GradBlockSize, t.mb)
 			st.pbuf.Fill(0)
 			for k := lo; k < hi; k++ {
 				st.evals[0].GradLogPsi(st.batch.Row(k), st.gbuf)
@@ -730,7 +707,7 @@ func (t *Trainer) srStep(rep Replica, st *replicaState, s, s2 float64, sw *stopw
 	for k := 0; k < t.mb; k++ {
 		st.wbuf[k] = 2 * (st.locals[k] - mean) / t.bf
 	}
-	core.AddWeightedRows(grad, st.ows, st.wbuf, st.gparts, st.workers)
+	tensor.AddWeightedRows(grad, st.ows, st.wbuf, st.gparts, st.workers)
 	// The O-row sum stays a plain ordered loop: it must match the serial
 	// NewBatchFisher obar accumulation bit-for-bit at L=1.
 	for k := 0; k < t.mb; k++ {

@@ -22,17 +22,18 @@ func (b ConfigBatch) Row(i int) []int { return b.Bits[i*b.Sites : (i+1)*b.Sites]
 //
 // Bitwise-equivalence guarantee: every method produces EXACTLY the bytes
 // the corresponding scalar path produces — LogPsiBatch matches per-row
-// LogPsi, GradLogPsiBatch matches per-row GradLogPsi, and FlipLogPsiBatch
-// matches the model's FlipCache (base log-psi as Reset computes it, deltas
-// as Delta computes them) — and is invariant to the worker count the
-// evaluator was built with. Implementations achieve this by accumulating
-// every fused product in the same fixed contraction order as the scalar
-// kernels (see tensor.MatMul and tensor.MatMulReLU, which MADE drives
-// against pre-transposed masked weights; tensor.MatMulT is the same
-// contract for untransposed operands) and by sharing the per-row reduction
-// code with the scalar path verbatim. The guarantee is load-bearing:
-// package dist checks replica consistency with exact ==, and the batched
-// and scalar paths must remain interchangeable underneath it.
+// LogPsi, GradLogPsiBatch matches per-row GradLogPsi, WeightedGradBatch
+// matches GradLogPsiBatch followed by tensor.AddWeightedRows, and
+// FlipLogPsiBatch matches the model's FlipCache (base log-psi as Reset
+// computes it, deltas as Delta computes them) — and is invariant to the
+// worker count the evaluator was built with. Implementations achieve this
+// by accumulating every fused product in the same fixed contraction order
+// as the scalar kernels (see tensor.MatMul and tensor.MatMulReLU, which
+// MADE drives against pre-transposed masked weights; tensor.MatMulT is the
+// same contract for untransposed operands) and by sharing the per-row
+// reduction code with the scalar path verbatim. The guarantee is
+// load-bearing: package dist checks replica consistency with exact ==, and
+// the batched and scalar paths must remain interchangeable underneath it.
 //
 // Tail-only invariant (MADE): the flip super-batch is evaluated under the
 // mask-aware tail-only convention of MADE.NewFlipCache — for a flip of bit
@@ -51,8 +52,21 @@ type BatchEvaluator interface {
 	// len(out) must be b.N.
 	LogPsiBatch(b ConfigBatch, out []float64)
 	// GradLogPsiBatch fills ows row k with grad log|psi(row k)|.
-	// ows must be b.N x NumParams.
+	// ows must be b.N x NumParams. Only the SR path, whose Fisher solve
+	// needs every O_k row, materializes them this way.
 	GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch)
+	// WeightedGradBatch accumulates dst += sum_k w[k] * grad log|psi(row k)|
+	// — the REINFORCE gradient, which needs only this contraction of the
+	// O_k rows. Its bytes are exactly those of GradLogPsiBatch followed by
+	// tensor.AddWeightedRows over the rows: per-block partials of
+	// tensor.GradBlockSize rows starting at +0 and accumulated in ascending
+	// row order, folded into dst in ascending block order — for every
+	// weight vector (zeros, subnormals, infinities and NaNs included: a
+	// non-finite weight still adds w*0 to every entry of its row) and every
+	// worker count. MADE forms it without materializing any O_k row; the
+	// other families reduce GradLogPsiBatch slabs (see slabWeightedGrad).
+	// len(w) must be b.N and len(dst) NumParams; dst is not zeroed first.
+	WeightedGradBatch(b ConfigBatch, w []float64, dst tensor.Vector)
 	// FlipLogPsiBatch evaluates the B x (F+1) flip super-batch: base[k]
 	// receives log|psi(row k)| computed exactly as the model's FlipCache
 	// base (the fresh forward convention), and delta[k*len(flips)+f]
@@ -69,6 +83,41 @@ type BatchEvaluator interface {
 	// work their convention allows (the RBM's per-row ln-cosh fold).
 	// Otherwise len(base) must be b.N; len(delta) must be b.N*len(flips).
 	FlipLogPsiBatch(b ConfigBatch, flips []int, base, delta []float64)
+}
+
+// weightedGradSlabRows is the row slab slabWeightedGrad materializes at
+// once: a multiple of tensor.GradBlockSize, so slab boundaries coincide with
+// reduction-block boundaries and the slabbed reduction is bitwise one
+// AddWeightedRows over the whole batch.
+const weightedGradSlabRows = 128
+
+// slabWeightedGrad is WeightedGradBatch for the families without a fused
+// kernel (NADE, RNN, RBM): O_k rows are produced one weightedGradSlabRows
+// slab at a time through the evaluator's GradLogPsiBatch and reduced with
+// tensor.AddWeightedRows, so at most one slab of rows is ever resident. The
+// zero value is ready to use; its workspaces grow on first use.
+type slabWeightedGrad struct {
+	buf         []float64    // one slab of O_k rows
+	rows, parts tensor.Batch // the current slab's view of buf; block partials
+}
+
+// weightedGrad implements BatchEvaluator.WeightedGradBatch for be, whose
+// gradients have d entries, fanning the reduction across workers.
+func (s *slabWeightedGrad) weightedGrad(be BatchEvaluator, b ConfigBatch, w []float64, dst tensor.Vector, d, workers int) {
+	if len(w) != b.N || len(dst) != d {
+		panic("nn: WeightedGradBatch length mismatch")
+	}
+	if slab := min(weightedGradSlabRows, b.N); len(s.buf) < slab*d {
+		s.buf = make([]float64, slab*d)
+		s.parts = *tensor.NewBatch(tensor.GradBlocks(slab), d)
+	}
+	for lo := 0; lo < b.N; lo += weightedGradSlabRows {
+		hi := min(lo+weightedGradSlabRows, b.N)
+		slab := ConfigBatch{N: hi - lo, Sites: b.Sites, Bits: b.Bits[lo*b.Sites : hi*b.Sites]}
+		s.rows = tensor.Batch{N: hi - lo, Dim: d, Data: s.buf[:(hi-lo)*d]}
+		be.GradLogPsiBatch(slab, &s.rows)
+		tensor.AddWeightedRows(dst, &s.rows, w[lo:hi], &s.parts, workers)
+	}
 }
 
 // BatchEvaluatorBuilder is implemented by wavefunctions that provide a

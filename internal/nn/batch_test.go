@@ -341,9 +341,10 @@ func TestTailFlipCacheExactRegression(t *testing.T) {
 }
 
 // TestMADEBatchAllocsBounded pins the sample-major kernels' allocation
-// profile: at steady state one FlipLogPsiBatch or batched ancestral Sample
-// call allocates only its parallel section's bookkeeping, a small constant
-// independent of the batch size, the site count and the flip count.
+// profile: at steady state one FlipLogPsiBatch, WeightedGradBatch or batched
+// ancestral Sample call allocates only its parallel sections' bookkeeping,
+// a small constant independent of the batch size, the site count and the
+// flip count.
 func TestMADEBatchAllocsBounded(t *testing.T) {
 	const maxAllocs = 16
 	for _, n := range []int{16, 32} {
@@ -358,6 +359,11 @@ func TestMADEBatchAllocsBounded(t *testing.T) {
 				e := m.NewBatchEvaluator(workers)
 				if a := testing.AllocsPerRun(3, func() { e.FlipLogPsiBatch(b, flips, nil, delta) }); a > maxAllocs {
 					t.Errorf("n=%d B=%d w=%d: FlipLogPsiBatch allocates %v per call, want <= %d", n, bs, workers, a, maxAllocs)
+				}
+				w := make([]float64, bs)
+				grad := tensor.NewVector(m.NumParams())
+				if a := testing.AllocsPerRun(3, func() { e.WeightedGradBatch(b, w, grad) }); a > maxAllocs {
+					t.Errorf("n=%d B=%d w=%d: WeightedGradBatch allocates %v per call, want <= %d", n, bs, workers, a, maxAllocs)
 				}
 				smp := m.NewBatchAncestralSampler()
 				if a := testing.AllocsPerRun(3, func() { smp.Sample(b, u, workers) }); a > maxAllocs {

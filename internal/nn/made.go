@@ -48,6 +48,12 @@ type MADE struct {
 	// the masked-zero (+/-0, exact no-op) additions; when not, the folds
 	// fall back to full-width adds, which are bitwise identical.
 	runsAscending bool
+	// w1Runs[k] lists the maximal runs [lo, hi) of inputs unit k's mask row
+	// M1[k] sees, and w2Runs[j] the runs of units output j's mask row M2[j]
+	// sees: the supports of the W1 row k and W2 row j weight gradients (and
+	// of the backward pass's masked W2 products), over which
+	// WeightedGradBatch accumulates. Outside them every gradient entry is +0.
+	w1Runs, w2Runs [][][2]int
 	// Masked-weight cache for the batched GEMM path: wm1t/wm2t hold the
 	// TRANSPOSED elementwise products (W1.M1)^T (n x h) and (W2.M2)^T
 	// (h x n), materialized once per parameter version and reused by every
@@ -141,12 +147,34 @@ func NewMADE(n, h int, r *rng.Rand) *MADE {
 		}
 	}
 
+	m.w1Runs, m.w2Runs = maskRuns(m.M1), maskRuns(m.M2)
+
 	uniformInit(m.W1.Data, n, r)
 	uniformInit(m.B1, n, r)
 	uniformInit(m.W2.Data, h, r)
 	uniformInit(m.B2, h, r)
 	m.version = 1
 	return m
+}
+
+// maskRuns returns, for every row of a 0/1 mask, the maximal runs [lo, hi)
+// of its nonzero entries.
+func maskRuns(mask *tensor.Matrix) [][][2]int {
+	out := make([][][2]int, mask.Rows)
+	for r := range out {
+		row := mask.Row(r)
+		for c := 0; c < len(row); c++ {
+			if row[c] == 0 {
+				continue
+			}
+			lo := c
+			for c < len(row) && row[c] != 0 {
+				c++
+			}
+			out[r] = append(out[r], [2]int{lo, c})
+		}
+	}
+	return out
 }
 
 // InvalidateParams marks the masked-weight cache stale. It must be called
@@ -322,40 +350,54 @@ func (m *MADE) AccumulateInput(z1 tensor.Vector, i, bit int) {
 // GradLogProbScratch accumulates d log pi / d theta into grad (overwritten).
 func (m *MADE) GradLogProbScratch(x []int, grad tensor.Vector, s *MADEScratch) {
 	m.Forward(x, s)
-	m.gradFromForward(x, s.Z1, s.A, s.Z2, s.dZ2, s.dA, grad)
+	m.gradFromForward(x, s.A, s.Z2, s.dZ2, s.dA, grad)
 }
 
-// gradFromForward runs the analytic backward pass from an already computed
-// forward state (z1 pre-activation, a activation, z2 output pre-activation)
-// into grad. It is shared verbatim by the scalar and batched gradient paths
-// — identical forward bytes in, identical gradient bytes out — which is
-// how GradLogPsiBatch inherits the scalar path's exact values. dz2 (n) and
-// da (h) are caller-owned scratch.
-func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) {
-	if len(grad) != m.NumParams() {
-		panic("nn: gradient buffer has wrong length")
-	}
-	// dlogpi/dz2_j = x_j - sigma(z2_j).
+// backwardDeltas computes the backward pass's deltas from a forward state
+// (a the ReLU activation, z2 the output pre-activation): dz2[j] = x_j -
+// sigma(z2_j), and dz1 = (M2 .* W2)^T dz2 — accumulated over ascending
+// outputs j with dz2_j != 0, on M2 row j's support w2Runs[j] — gated to +0
+// through the ReLU, i.e. wherever a[k] is a (signed) zero, which is exactly
+// where the pre-activation is <= 0. It is the one backward the scalar,
+// GradLogPsiBatch and WeightedGradBatch paths share verbatim. dz2 may alias
+// z2.
+func (m *MADE) backwardDeltas(x []int, a, z2, dz2, dz1 tensor.Vector) {
 	for j, b := range x {
 		dz2[j] = float64(b) - 1/(1+math.Exp(-z2[j]))
 	}
-	// dA = (M2 .* W2)^T dZ2.
-	for k := range da {
-		da[k] = 0
-	}
-	for j := 0; j < m.n; j++ {
-		dj := dz2[j]
+	clear(dz1)
+	for j, dj := range dz2 {
 		if dj == 0 {
 			continue
 		}
 		row := m.W2.Row(j)
-		mrow := m.M2.Row(j)
-		for k := range row {
-			if mrow[k] != 0 {
-				da[k] += row[k] * dj
+		for _, run := range m.w2Runs[j] {
+			src := row[run[0]:run[1]]
+			dst := dz1[run[0]:run[1]]
+			dst = dst[:len(src)]
+			for k, wv := range src {
+				dst[k] += wv * dj
 			}
 		}
 	}
+	for k, av := range a {
+		if av == 0 {
+			dz1[k] = 0
+		}
+	}
+}
+
+// gradFromForward runs the analytic backward pass from an already computed
+// forward state (a activation, z2 output pre-activation) into grad. It is
+// shared verbatim by the scalar and batched gradient paths — identical
+// forward bytes in, identical gradient bytes out — which is how
+// GradLogPsiBatch inherits the scalar path's exact values. dz2 (n) and dz1
+// (h) are caller-owned scratch.
+func (m *MADE) gradFromForward(x []int, a, z2, dz2, dz1, grad tensor.Vector) {
+	if len(grad) != m.NumParams() {
+		panic("nn: gradient buffer has wrong length")
+	}
+	m.backwardDeltas(x, a, z2, dz2, dz1)
 	// Views into grad with the same layout as theta.
 	h, n := m.h, m.n
 	gW1 := grad[0 : h*n]
@@ -378,16 +420,12 @@ func (m *MADE) gradFromForward(x []int, z1, a, z2, dz2, da, grad tensor.Vector) 
 	}
 	// Hidden layer through ReLU.
 	for k := 0; k < h; k++ {
-		dz1 := da[k]
-		if z1[k] <= 0 {
-			dz1 = 0
-		}
-		gB1[k] = dz1
+		gB1[k] = dz1[k]
 		base := k * n
 		mrow := m.M1.Row(k)
 		for i := 0; i < n; i++ {
 			if mrow[i] != 0 && x[i] == 1 {
-				gW1[base+i] = dz1
+				gW1[base+i] = dz1[k]
 			} else {
 				gW1[base+i] = 0
 			}

@@ -38,9 +38,10 @@ func reluRows(m *tensor.Matrix, workers int) {
 // madeBatchEvaluator is MADE's BatchEvaluator. LogPsiBatch and
 // GradLogPsiBatch fuse the per-sample masked matvecs of a whole batch into
 // blocked GEMMs against the cached masked weights (see MADE.maskedWeights),
-// slab by slab; FlipLogPsiBatch runs sample-major, each worker carrying its
-// rows end to end in a private workspace (madeWork). All values are bitwise
-// identical to the scalar paths; see the BatchEvaluator contract.
+// slab by slab; FlipLogPsiBatch and WeightedGradBatch run sample-major, each
+// worker carrying its rows end to end in a private workspace (madeWork).
+// All values are bitwise identical to the scalar paths; see the
+// BatchEvaluator contract.
 type madeBatchEvaluator struct {
 	m       *MADE
 	workers int
@@ -49,14 +50,22 @@ type madeBatchEvaluator struct {
 	// and layer-2 pre-activations.
 	bufXF, bufZ1, bufA, bufZ2 []float64
 	work                      []madeWork // one per worker
+	// parts holds WeightedGradBatch's gradient partials, one NumParams-long
+	// row per tensor.GradBlockSize-row reduction block of the batch.
+	parts []float64
 }
 
 // madeWork is one worker's scratch. dz2/da back GradLogPsiBatch's backward
-// pass; the rest holds the flip kernel's row state and is allocated on the
-// first FlipLogPsiBatch call — n x h + nSnap x n + O(n + h) floats, about
-// 8 KB at TIM n=16, h=38, so a row's working set stays in L1.
+// pass; grad backs WeightedGradBatch and is allocated on its first call; the
+// rest holds the flip kernel's row state and is allocated on the first
+// FlipLogPsiBatch call — n x h + nSnap x n + O(n + h) floats, about 8 KB at
+// TIM n=16, h=38, so a row's working set stays in L1.
 type madeWork struct {
 	dz2, da tensor.Vector
+	// grad holds one reduction block's rows (tensor.GradBlockSize x 2(n+h),
+	// see gradRow): each row's float bits xf (n), ReLU activations a (h),
+	// output deltas dz2 (n) and ReLU-gated hidden deltas dz1 (h).
+	grad []float64
 	// Base row: layer-1 (h) and layer-2 (n) pre-activations after the bias,
 	// and the log-probability fold's prefix sums p[j] over sites < j (n+1).
 	z1, z2, p []float64
@@ -132,22 +141,23 @@ func (e *madeBatchEvaluator) toFloats(b ConfigBatch, lo, hi int, xf *tensor.Matr
 }
 
 // forwardSlab runs the dense two-GEMM forward for rows [lo, hi) of b,
-// returning the xf/z1/a/z2 slab views (z1 is the pre-activation, a the
-// ReLU activation). The arithmetic per row is exactly MADE.Forward's.
-func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool) (xf, z1, a, z2 *tensor.Matrix) {
+// returning the output pre-activation slab z2 and, when needAct is set, the
+// ReLU activation slab a (otherwise a is the layer-1 pre-activation). The
+// arithmetic per row is exactly MADE.Forward's.
+func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needAct bool) (a, z2 *tensor.Matrix) {
 	m := e.m
 	rows := hi - lo
 	wm1t, wm2t := m.maskedWeights()
-	xf = growMat(&e.bufXF, rows, m.n)
-	z1 = growMat(&e.bufZ1, rows, m.h)
+	xf := growMat(&e.bufXF, rows, m.n)
+	z1 := growMat(&e.bufZ1, rows, m.h)
 	z2 = growMat(&e.bufZ2, rows, m.n)
 	e.toFloats(b, lo, hi, xf)
 	tensor.MatMul(z1, xf, wm1t, e.workers)
 	tensor.AddRowBias(z1, m.B1, e.workers)
-	if needPre {
-		// The backward pass needs the activation alongside the ReLU gate,
-		// so materialize it (the scalar Forward's copy+ReLU); otherwise the
-		// fused MatMulReLU consumes the pre-activation directly.
+	if needAct {
+		// The backward pass needs the activation, so materialize it (the
+		// scalar Forward's copy+ReLU); otherwise the fused MatMulReLU
+		// consumes the pre-activation directly.
 		a = growMat(&e.bufA, rows, m.h)
 		copy(a.Data, z1.Data)
 		reluRows(a, e.workers)
@@ -156,7 +166,7 @@ func (e *madeBatchEvaluator) forwardSlab(b ConfigBatch, lo, hi int, needPre bool
 	}
 	tensor.MatMulReLU(z2, a, wm2t, e.workers)
 	tensor.AddRowBias(z2, m.B2, e.workers)
-	return xf, z1, a, z2
+	return a, z2
 }
 
 // LogPsiBatch implements BatchEvaluator; out[k] matches LogPsi(row k)
@@ -174,7 +184,7 @@ func (e *madeBatchEvaluator) LogPsiBatch(b ConfigBatch, out []float64) {
 		if hi > b.N {
 			hi = b.N
 		}
-		_, _, _, z2 := e.forwardSlab(b, lo, hi, false)
+		_, z2 := e.forwardSlab(b, lo, hi, false)
 		parallel.For(hi-lo, e.workers, func(rlo, rhi int) {
 			for r := rlo; r < rhi; r++ {
 				out[lo+r] = 0.5 * logProbFromZ2(b.Row(lo+r), z2.Row(r))
@@ -199,16 +209,177 @@ func (e *madeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 		if hi > b.N {
 			hi = b.N
 		}
-		_, z1, a, z2 := e.forwardSlab(b, lo, hi, true)
+		a, z2 := e.forwardSlab(b, lo, hi, true)
 		ranges := parallel.Partition(hi-lo, e.workers)
 		parallel.ForEach(len(ranges), e.workers, func(w int) {
 			dz2, da := e.work[w].dz2, e.work[w].da
 			for r := ranges[w].Lo; r < ranges[w].Hi; r++ {
 				grad := ows.Sample(lo + r)
-				m.gradFromForward(b.Row(lo+r), z1.Row(r), a.Row(r), z2.Row(r), dz2, da, grad)
+				m.gradFromForward(b.Row(lo+r), a.Row(r), z2.Row(r), dz2, da, grad)
 				grad.Scale(0.5)
 			}
 		})
+	}
+}
+
+// WeightedGradBatch implements BatchEvaluator without materializing any
+// O_k row, sample-major: one parallel section hands each worker whole
+// reduction blocks, and for each block the worker runs every row's forward
+// fold (forwardRow, bitwise forwardSlab's GEMM chains) and backward deltas
+// into its grad buffer (blockRows), then accumulates the block partial
+// parameter row by parameter row, block rows inner and ascending, over the
+// mask supports (blockPartial):
+//
+//	W1[k][i] += w * ((dz1*0.5) * x[i])   for i in w1Runs[k]
+//	B1[k]    += w * (dz1*0.5)
+//	W2[j][k] += w * ((dz2*a[k]) * 0.5)   for k in w2Runs[j]
+//	B2[j]    += w * (dz2*0.5)
+//
+// Each added term is the one AXPY adds from the materialized row, whose
+// entries are gradFromForward's values times 0.5: for x[i] == 0 the W1 term
+// is w*(+/-0), which like the oracle's w*(+0) is a no-op for a finite w — a
+// partial starts at +0 and never becomes -0 — and NaN otherwise. Entries
+// outside the supports are +0 in every row, so only a row with a
+// non-finite weight touches them, adding w*0 (NaN) as AXPY does. The
+// evaluator-owned partials are then folded into dst in ascending block
+// order, so the result is bitwise GradLogPsiBatch + tensor.AddWeightedRows.
+func (e *madeBatchEvaluator) WeightedGradBatch(b ConfigBatch, w []float64, dst tensor.Vector) {
+	m := e.m
+	n, h, d := m.n, m.h, m.NumParams()
+	if b.Sites != n {
+		panic("nn: WeightedGradBatch sites mismatch")
+	}
+	if len(w) != b.N || len(dst) != d {
+		panic("nn: WeightedGradBatch length mismatch")
+	}
+	if e.work[0].grad == nil {
+		for wk := range e.work {
+			e.work[wk].grad = make([]float64, tensor.GradBlockSize*2*(n+h))
+		}
+	}
+	nb := tensor.GradBlocks(b.N)
+	if len(e.parts) < nb*d {
+		e.parts = make([]float64, nb*d)
+	}
+	wm1t, wm2t := m.maskedWeights()
+	ranges := parallel.Partition(nb, e.workers)
+	parallel.ForEach(len(ranges), e.workers, func(wk int) {
+		ws := &e.work[wk]
+		for bi := ranges[wk].Lo; bi < ranges[wk].Hi; bi++ {
+			k0 := bi * tensor.GradBlockSize
+			k1 := min(k0+tensor.GradBlockSize, b.N)
+			ws.blockRows(m, wm1t, wm2t, b, k0, k1)
+			ws.blockPartial(m, w[k0:k1], e.parts[bi*d:(bi+1)*d])
+		}
+	})
+	for bi := 0; bi < nb; bi++ {
+		dst.Add(e.parts[bi*d : (bi+1)*d])
+	}
+}
+
+// gradRow returns the views of block row t in the grad buffer.
+func (ws *madeWork) gradRow(m *MADE, t int) (xf, a, dz2, dz1 []float64) {
+	n, h := m.n, m.h
+	row := ws.grad[t*2*(n+h) : (t+1)*2*(n+h)]
+	return row[:n], row[n : n+h], row[n+h : 2*n+h], row[2*n+h:]
+}
+
+// blockRows fills the grad buffer for batch rows [k0, k1): each row's
+// forward (forwardRow, then tensor.ReLU as forwardSlab applies it) and its
+// backward deltas (backwardDeltas, the scalar path's own).
+func (ws *madeWork) blockRows(m *MADE, wm1t, wm2t *tensor.Matrix, b ConfigBatch, k0, k1 int) {
+	for t := 0; t < k1-k0; t++ {
+		xf, a, dz2, dz1 := ws.gradRow(m, t)
+		x := b.Row(k0 + t)
+		m.forwardRow(wm1t, wm2t, x, a, dz2, nil, nil)
+		tensor.ReLU(a)
+		for i, bit := range x {
+			xf[i] = float64(bit)
+		}
+		m.backwardDeltas(x, a, dz2, dz2, dz1)
+	}
+}
+
+// isFinite reports whether x is neither infinite nor NaN, the only values
+// for which x - x is not 0.
+func isFinite(x float64) bool { return x-x == 0 }
+
+// blockPartial overwrites p with the block partial sum_t w[t] * O_t of the
+// rows blockRows just filled (see WeightedGradBatch for the per-entry
+// arithmetic).
+func (ws *madeWork) blockPartial(m *MADE, w []float64, p tensor.Vector) {
+	n, h := m.n, m.h
+	clear(p)
+	pW1, pB1 := p[:h*n], p[h*n:h*n+h]
+	pW2, pB2 := p[h*n+h:h*n+h+n*h], p[h*n+h+n*h:]
+	for k := 0; k < h; k++ {
+		prow := pW1[k*n : (k+1)*n]
+		for t, wt := range w {
+			xr, _, _, dz1 := ws.gradRow(m, t)
+			hd := dz1[k] * 0.5
+			pB1[k] += wt * hd
+			if hd == 0 && isFinite(wt) {
+				// A gated-off unit's row is all w*(+/-0): no-op terms for a
+				// finite weight.
+				continue
+			}
+			if !isFinite(hd) {
+				// A non-finite delta times x[i] == 0 is NaN, not the oracle's
+				// +0: select the entry instead of multiplying.
+				for _, run := range m.w1Runs[k] {
+					for i := run[0]; i < run[1]; i++ {
+						g := 0.0
+						if xr[i] != 0 {
+							g = hd
+						}
+						prow[i] += wt * g
+					}
+				}
+				continue
+			}
+			for _, run := range m.w1Runs[k] {
+				src := xr[run[0]:run[1]]
+				dst := prow[run[0]:run[1]]
+				dst = dst[:len(src)]
+				for i, xv := range src {
+					dst[i] += wt * (hd * xv)
+				}
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		prow := pW2[j*h : (j+1)*h]
+		for t, wt := range w {
+			_, ar, dz2, _ := ws.gradRow(m, t)
+			dj := dz2[j]
+			pB2[j] += wt * (dj * 0.5)
+			for _, run := range m.w2Runs[j] {
+				src := ar[run[0]:run[1]]
+				dst := prow[run[0]:run[1]]
+				dst = dst[:len(src)]
+				for k, av := range src {
+					dst[k] += wt * ((dj * av) * 0.5)
+				}
+			}
+		}
+	}
+	for _, wt := range w {
+		if isFinite(wt) {
+			continue
+		}
+		// Outside the mask supports every row's entry is +0, so only a
+		// non-finite weight changes them: AXPY adds w*0 = NaN.
+		z := wt * 0
+		for e, mv := range m.M1.Data {
+			if mv == 0 {
+				pW1[e] += z
+			}
+		}
+		for e, mv := range m.M2.Data {
+			if mv == 0 {
+				pW2[e] += z
+			}
+		}
 	}
 }
 
@@ -277,23 +448,29 @@ func (e *madeBatchEvaluator) allocFlipWork() {
 	}
 }
 
-// baseRow runs the fresh forward of configuration x and returns log pi(x),
-// leaving z1, z2 and the fold prefix sums p in the workspace. Both layers
-// run as explicit ascending folds that are bitwise the chains of MatMul and
-// MatMulReLU (see forwardSlab): layer 1 adds wm1t row i for every set bit i,
-// but only on flipRuns[i], input i's mask support (the masked-out weights
-// are +/-0, exact no-op terms); layer 2 adds relu(z1[k]) * wm2t row k over
-// unit k's output support [deg(k), n); each bias follows its dot product.
-// On the way it snapshots the partial sums the flip rows resume from.
-func (w *madeWork) baseRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int) float64 {
-	z1 := w.z1
+// forwardRow runs the fresh forward of configuration x into z1 (h, the
+// layer-1 pre-activations after the bias) and z2 (n, the layer-2
+// pre-activations after the bias). Both layers run as explicit ascending
+// folds that are bitwise the chains of MatMul and MatMulReLU (see
+// forwardSlab): layer 1 adds wm1t row i for every set bit i, but only on
+// flipRuns[i], input i's mask support (the masked-out weights are +/-0,
+// exact no-op terms); layer 2 adds relu(z1[k]) * wm2t row k over unit k's
+// output support [deg(k), n); each bias follows its dot product. With a
+// non-nil pre1 it also records the partial sums the flip rows resume from:
+// pre1 row i the layer-1 sums over inputs < i on flipRuns[i] (n x h), and
+// pre2 row k the layer-2 sums over units < k, for k < len(pre2)/n.
+func (m *MADE) forwardRow(wm1t, wm2t *tensor.Matrix, x []int, z1, z2, pre1, pre2 []float64) {
 	clear(z1)
 	for i, xb := range x {
-		snap := w.pre1[i*m.h : (i+1)*m.h]
+		if pre1 == nil && xb != 1 {
+			continue
+		}
 		wrow := wm1t.Row(i)
 		for _, run := range m.flipRuns[i] {
 			dst := z1[run[0]:run[1]]
-			copy(snap[run[0]:run[1]], dst)
+			if pre1 != nil {
+				copy(pre1[i*m.h+run[0]:i*m.h+run[1]], dst)
+			}
 			if xb == 1 {
 				for k, v := range wrow[run[0]:run[1]] {
 					dst[k] += v
@@ -304,11 +481,11 @@ func (w *madeWork) baseRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int) float64 
 	for k, v := range m.B1 {
 		z1[k] += v
 	}
-	z2 := w.z2
 	clear(z2)
+	nSnap := len(pre2) / m.n
 	for k, av := range z1 {
-		if k < w.nSnap {
-			copy(w.pre2[k*m.n:(k+1)*m.n], z2)
+		if k < nSnap {
+			copy(pre2[k*m.n:(k+1)*m.n], z2)
 		}
 		d0 := m.deg[k]
 		if d0 == 0 || av <= 0 {
@@ -322,10 +499,17 @@ func (w *madeWork) baseRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int) float64 
 	for j, v := range m.B2 {
 		z2[j] += v
 	}
+}
+
+// baseRow runs the fresh forward of configuration x (forwardRow, with the
+// resume snapshots) and returns log pi(x), leaving z1, z2 and the fold
+// prefix sums p in the workspace.
+func (w *madeWork) baseRow(m *MADE, wm1t, wm2t *tensor.Matrix, x []int) float64 {
+	m.forwardRow(wm1t, wm2t, x, w.z1, w.z2, w.pre1, w.pre2[:w.nSnap*m.n])
 	var lp float64
 	w.p[0] = 0
 	for j, xb := range x {
-		z := z2[j]
+		z := w.z2[j]
 		if xb != 1 {
 			z = -z
 		}

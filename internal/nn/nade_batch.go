@@ -20,6 +20,7 @@ import (
 type nadeBatchEvaluator struct {
 	m       *NADE
 	workers int
+	wg      slabWeightedGrad // WeightedGradBatch's slab workspace
 	// fullFlip disables the tail-only flip evaluation and replays every flip
 	// row's accumulation chain from a_0 = c with a full log-probability fold
 	// — the differential-test oracle. Outputs are bitwise identical to the
@@ -154,6 +155,12 @@ func (e *nadeBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	})
 }
 
+// WeightedGradBatch implements BatchEvaluator through the shared
+// GradLogPsiBatch-slab reduction (slabWeightedGrad).
+func (e *nadeBatchEvaluator) WeightedGradBatch(b ConfigBatch, w []float64, dst tensor.Vector) {
+	e.wg.weightedGrad(e, b, w, dst, e.m.NumParams(), e.workers)
+}
+
 // FlipLogPsiBatch implements BatchEvaluator under the tail-only flip
 // convention. The base pass runs the site-major forward once per slab,
 // snapshotting the B x h accumulator before every flipped site and the
@@ -261,7 +268,7 @@ func (e *nadeBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, d
 				wtRow := wt.Row(bit)
 				parallel.For(s, e.workers, func(slo, shi int) {
 					for si := slo; si < shi; si++ {
-						nb := 1 - b.Row(lo+si)[bit]
+						nb := 1 - b.Row(lo + si)[bit]
 						lpf.Data[si] = p.Row(si)[bit] + condTerm(z.Row(si)[bit], nb)
 						arow := af.Row(si)
 						copy(arow, snapBand[si*m.h:(si+1)*m.h])

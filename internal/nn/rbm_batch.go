@@ -19,6 +19,7 @@ import (
 type rbmBatchEvaluator struct {
 	m       *RBM
 	workers int
+	wg      slabWeightedGrad // WeightedGradBatch's slab workspace
 	// Slab workspaces, grown on demand and reused across calls: bufS holds
 	// the float spin rows, bufTh the hidden pre-activation rows.
 	bufS, bufTh []float64
@@ -102,6 +103,12 @@ func (e *rbmBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 			}
 		})
 	}
+}
+
+// WeightedGradBatch implements BatchEvaluator through the shared
+// GradLogPsiBatch-slab reduction (slabWeightedGrad).
+func (e *rbmBatchEvaluator) WeightedGradBatch(b ConfigBatch, w []float64, dst tensor.Vector) {
+	e.wg.weightedGrad(e, b, w, dst, e.m.NumParams(), e.workers)
 }
 
 // FlipLogPsiBatch implements BatchEvaluator: base[k] is the flip cache's

@@ -21,6 +21,7 @@ import (
 type rnnBatchEvaluator struct {
 	m       *RNNWavefunction
 	workers int
+	wg      slabWeightedGrad // WeightedGradBatch's slab workspace
 	// fullFlip disables the tail-only flip evaluation and replays every flip
 	// row's recurrence from s_0 with a full log-probability fold — the
 	// differential-test oracle. Outputs are bitwise identical to the
@@ -153,6 +154,12 @@ func (e *rnnBatchEvaluator) GradLogPsiBatch(b ConfigBatch, ows *tensor.Batch) {
 	})
 }
 
+// WeightedGradBatch implements BatchEvaluator through the shared
+// GradLogPsiBatch-slab reduction (slabWeightedGrad).
+func (e *rnnBatchEvaluator) WeightedGradBatch(b ConfigBatch, w []float64, dst tensor.Vector) {
+	e.wg.weightedGrad(e, b, w, dst, e.m.NumParams(), e.workers)
+}
+
 // FlipLogPsiBatch implements BatchEvaluator under the tail-only flip
 // convention. The base pass runs the recurrence once per slab, recording
 // every site's output pre-activation, the per-row log-probability prefix
@@ -262,7 +269,7 @@ func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 				snapBand := snap.Data[bit*s*m.h : (bit+1)*s*m.h]
 				parallel.For(s, e.workers, func(slo, shi int) {
 					for si := slo; si < shi; si++ {
-						nb := 1 - b.Row(lo+si)[bit]
+						nb := 1 - b.Row(lo + si)[bit]
 						lpf.Data[si] = p.Row(si)[bit] + condTerm(z.Row(si)[bit], nb)
 						copy(sf.Row(si), snapBand[si*m.h:(si+1)*m.h])
 					}
@@ -271,7 +278,7 @@ func (e *rnnBatchEvaluator) FlipLogPsiBatch(b ConfigBatch, flips []int, base, de
 					tensor.MatMulT(pre, sf, m.Wh, e.workers)
 					parallel.For(s, e.workers, func(slo, shi int) {
 						for si := slo; si < shi; si++ {
-							nb := 1 - b.Row(lo+si)[bit]
+							nb := 1 - b.Row(lo + si)[bit]
 							m.stepActivate(sf.Row(si), pre.Row(si), nb)
 						}
 					})
